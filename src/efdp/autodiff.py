@@ -7,6 +7,7 @@ vectors are column-shaped (n, 1). Tensors produced on an older tape may be
 consumed by a newer one, in which case they act as constants.
 """
 
+import math
 import struct
 
 import numpy as np
@@ -37,10 +38,6 @@ class Tensor:
         self.value = v
         self.grad = None
         self.name = name
-
-    @property
-    def shape(self):
-        return self.value.shape
 
     def item(self) -> float:
         if self.value.size != 1:
@@ -239,15 +236,6 @@ class ParameterStore:
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 
-    def __contains__(self, name):
-        return name in self._params
-
-    def __len__(self):
-        return len(self._params)
-
-    def names(self):
-        return list(self._params)
-
     def items(self):
         return self._params.items()
 
@@ -298,37 +286,22 @@ class ParameterStore:
             chunks.append(np.ascontiguousarray(p.value, dtype="<f8").tobytes())
         return b"".join(chunks)
 
-    def load_bytes(self, data: bytes, strict: bool = True) -> None:
-        """Load values into existing parameters; strict rejects unknown names."""
-        entries = _decode_entries(data)
+    def load_bytes(self, data: bytes) -> None:
+        """Load values into the existing parameters; the file must hold exactly these."""
         seen = set()
-        for name, value in entries:
-            if name not in self._params:
-                if strict:
-                    raise SerializationError(f"unknown parameter {name!r} in model file")
-                continue
-            p = self._params[name]
+        for name, value in _decode_entries(data):
+            p = self._params.get(name)
+            if p is None:
+                raise SerializationError(f"unknown parameter {name!r} in model file")
             if p.value.shape != value.shape:
                 raise SerializationError(
                     f"parameter {name!r}: file shape {value.shape} != expected {p.value.shape}"
                 )
             p.value[:] = value
             seen.add(name)
-        if strict:
-            missing = [n for n in self._params if n not in seen]
-            if missing:
-                raise SerializationError(f"model file is missing parameters: {missing[:5]}")
-
-
-def save_params(store: ParameterStore) -> bytes:
-    return store.to_bytes()
-
-
-def load_params(data: bytes) -> ParameterStore:
-    store = ParameterStore()
-    for name, value in _decode_entries(data):
-        store.add(name, value)
-    return store
+        missing = [n for n in self._params if n not in seen]
+        if missing:
+            raise SerializationError(f"model file is missing parameters: {missing[:5]}")
 
 
 def _decode_entries(data: bytes):
@@ -353,7 +326,7 @@ def _decode_entries(data: bytes):
             offset += 4
             dims = struct.unpack_from(f"<{rank}I", view, offset)
             offset += 4 * rank
-            n_values = int(np.prod(dims)) if dims else 1
+            n_values = math.prod(dims)  # exact: dims from a damaged file can be huge
             raw = bytes(view[offset : offset + 8 * n_values])
             if len(raw) != 8 * n_values:
                 raise SerializationError("truncated model file")
@@ -361,6 +334,8 @@ def _decode_entries(data: bytes):
             entries.append((name, np.frombuffer(raw, dtype="<f8").reshape(dims).copy()))
     except struct.error:
         raise SerializationError("truncated model file") from None
+    except UnicodeDecodeError:
+        raise SerializationError("parameter name is not UTF-8") from None
     if offset != len(view):
         raise SerializationError(f"{len(view) - offset} trailing bytes in model file")
     return entries

@@ -56,7 +56,7 @@ def _build_argparser():
     p_eval.add_argument("gold")
     p_eval.add_argument("predicted")
     p_eval.add_argument("--exclude-punct", action="store_true")
-    p_eval.add_argument("--punct-tags", default=None, help="comma-separated POS tags")
+    p_eval.add_argument("--punct-tags", default=Config.punct_tags, help="comma-separated POS tags")
 
     p_trace = sub.add_parser("trace", help="print the action trace for one sentence")
     common(p_trace)
@@ -151,14 +151,12 @@ def cmd_parse(cfg: Config, input_path: str, output_path: str) -> int:
     return 0
 
 
-def cmd_eval(gold_path: str, predicted_path: str, exclude_punct: bool, punct_tags=None, out=None) -> int:
+def cmd_eval(gold_path: str, predicted_path: str, exclude_punct: bool, punct_tags=Config.punct_tags, out=None) -> int:
     out = out or sys.stdout
     gold = _read_treebank(gold_path)
     predicted = _read_treebank(predicted_path)
     rows = [[Arc(t.head, t.index, t.deprel) for t in sentence] for sentence in predicted]
-    tags = frozenset({"PUNCT", "CH"})
-    if punct_tags is not None:
-        tags = frozenset(t for t in punct_tags.split(",") if t)
+    tags = Config(punct_tags=punct_tags).punct_tag_set()
     result = evaluate.score(gold, rows, exclude_punct=exclude_punct, punct_tags=tags)
     out.write(f"UAS {result.uas:.2f} LAS {result.las:.2f}\n")
     return 0

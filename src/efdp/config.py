@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ConfigError
+from .evaluate import PUNCT_TAGS
 
 
 @dataclass
@@ -47,7 +48,7 @@ class Config:
     test_size: Optional[int] = None  # hold out the last N sentences of train
     # evaluation
     exclude_punct: bool = False
-    punct_tags: str = "PUNCT,CH"
+    punct_tags: str = ",".join(sorted(PUNCT_TAGS))  # comma-separated
 
     def validate(self) -> None:
         dims = (
@@ -62,8 +63,8 @@ class Config:
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
 
-    def punct_tag_set(self) -> set:
-        return {t for t in self.punct_tags.split(",") if t}
+    def punct_tag_set(self) -> frozenset:
+        return frozenset(t for t in self.punct_tags.split(",") if t)
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(Config)}
@@ -116,7 +117,7 @@ def load_config(path: str, base: Optional[Config] = None) -> Config:
     try:
         with open(path, encoding="utf-8") as f:
             text = f.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config file {path}: {e}") from None
     return parse_config(text, base)
 

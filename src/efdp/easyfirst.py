@@ -62,14 +62,6 @@ class PendingItem:
         self.last_rel = None  # relation id of the most recent attachment
         self.enc = enc
 
-    @property
-    def n_left(self):
-        return len(self.left_children)
-
-    @property
-    def n_right(self):
-        return len(self.right_children)
-
 
 def encode_node(tape, model, item: PendingItem):
     """Recompute a structure encoding from the item's current LSTM states."""
@@ -86,8 +78,8 @@ def init_pending(tape, model, word_vectors, sentence: Sentence) -> list:
     if not word_vectors:
         raise ValueError("cannot initialize pending for an empty sentence")
     pending = []
-    for pos, (wv, token) in enumerate(zip(word_vectors, sentence), start=1):
-        seed = tape.concat(wv.v, model.null_label)
+    for pos, (v, token) in enumerate(zip(word_vectors, sentence), start=1):
+        seed = tape.concat(v, model.null_label)
         left = model.tree_left.step(tape, *model.tree_left.initial_state(), seed)
         right = model.tree_right.step(tape, *model.tree_right.initial_state(), seed)
         item = PendingItem(pos, pos, token.form, left, right, None)
@@ -180,11 +172,13 @@ class ActionScorer:
 
 def best_action(actions) -> Action:
     """Argmax with deterministic ties: lowest position, LEFT first, lowest relation."""
-    best = actions[0]
-    for a in actions[1:]:
-        if a.score > best.score:
-            best = a
-    return best
+    return max(actions, key=lambda a: a.score)  # max keeps the first of equal scores
+
+
+def head_and_dep(pending, action: Action):
+    """The (head, dependent) pending items of an action's attachment."""
+    left, right = pending[action.position - 1], pending[action.position]
+    return (right, left) if action.direction == LEFT else (left, right)
 
 
 def apply_action(tape, model, pending, action: Action, arcs: list) -> None:
@@ -192,12 +186,7 @@ def apply_action(tape, model, pending, action: Action, arcs: list) -> None:
     idx = action.position - 1
     if not 0 <= idx < len(pending) - 1:
         raise ValueError(f"action position {action.position} invalid for {len(pending)} pending items")
-    left_item = pending[idx]
-    right_item = pending[idx + 1]
-    if action.direction == LEFT:
-        head, dep = right_item, left_item
-    else:
-        head, dep = left_item, right_item
+    head, dep = head_and_dep(pending, action)
     arcs.append(Arc(head.head_index, dep.head_index, model.rel_names[action.relation]))
     child = tape.concat(dep.enc, tape.pick_row(model.rel_emb, action.relation))
     if action.direction == LEFT:
@@ -242,11 +231,7 @@ def parse(sentence: Sentence, model, scorer=None, trace=None) -> list:
 
 
 def format_trace(step: int, action: Action, pending, rel_names) -> str:
-    idx = action.position - 1
-    if action.direction == LEFT:
-        head, dep = pending[idx + 1], pending[idx]
-    else:
-        head, dep = pending[idx], pending[idx + 1]
+    head, dep = head_and_dep(pending, action)
     return "\t".join(
         (
             str(step),

@@ -16,7 +16,10 @@ class EvalResult:
     per_relation: dict = field(default_factory=dict)
 
 
-def score(gold, predicted, exclude_punct: bool = False, punct_tags=frozenset({"PUNCT", "CH"})) -> EvalResult:
+PUNCT_TAGS = frozenset({"PUNCT", "CH"})  # POS tags excluded as punctuation by default
+
+
+def score(gold, predicted, exclude_punct: bool = False, punct_tags=PUNCT_TAGS) -> EvalResult:
     """Unlabeled/labeled attachment scores over aligned sentences.
 
     ``predicted`` holds one arc list per gold sentence (each arc a

@@ -1,4 +1,4 @@
-"""LSTM cells, stacked bidirectional runners, and MLPs on the autodiff core.
+"""LSTM cells, stacked BiLSTMs, and MLPs on the autodiff core.
 
 Parameters are registered under ``layer_name/gate/param`` names so a model
 file maps cleanly back onto the architecture that produced it.
@@ -61,45 +61,6 @@ class LstmCell:
         return h, c
 
 
-def lstm_step(tape, cell: LstmCell, h_prev, c_prev, x):
-    return cell.step(tape, h_prev, c_prev, x)
-
-
-def run_lstm(tape, cell: LstmCell, inputs):
-    """Run one cell over a sequence; returns the hidden state after each step."""
-    h, c = cell.initial_state()
-    hs = []
-    for x in inputs:
-        h, c = cell.step(tape, h, c, x)
-        hs.append(h)
-    return hs
-
-
-def run_bilstm(tape, fwd_cells, bwd_cells, inputs):
-    """Stacked bidirectional run.
-
-    Layer k consumes layer k-1 outputs; output[i] is the concatenation of the
-    forward state after i+1 steps with the backward state after n-i steps.
-    """
-    outputs, _, _ = _run_bilstm_layers(tape, fwd_cells, bwd_cells, inputs)
-    return outputs
-
-
-def _run_bilstm_layers(tape, fwd_cells, bwd_cells, inputs):
-    if not inputs:
-        raise ValueError("bilstm over an empty sequence")
-    if len(fwd_cells) != len(bwd_cells):
-        raise ValueError("forward/backward stacks differ in depth")
-    seq = list(inputs)
-    f_hs = b_hs = None
-    for fwd, bwd in zip(fwd_cells, bwd_cells):
-        f_hs = run_lstm(tape, fwd, seq)
-        b_hs = run_lstm(tape, bwd, seq[::-1])[::-1]
-        seq = [tape.concat(f, b) for f, b in zip(f_hs, b_hs)]
-    # final backward state is the one aligned with the first position
-    return seq, f_hs[-1], b_hs[0]
-
-
 class BiLstm:
     """Parameter bundle for a stacked BiLSTM; layer k>0 takes 2*hidden inputs."""
 
@@ -113,13 +74,30 @@ class BiLstm:
             self.fwd.append(LstmCell(store, f"{name}/fwd{k}", size, hidden_size, rng))
             self.bwd.append(LstmCell(store, f"{name}/bwd{k}", size, hidden_size, rng))
 
-    @property
-    def output_size(self):
-        return 2 * self.hidden_size
-
     def run(self, tape, inputs):
-        """Returns (per-position outputs, final forward h, final backward h)."""
-        return _run_bilstm_layers(tape, self.fwd, self.bwd, inputs)
+        """Returns (per-position outputs, final forward h, final backward h).
+
+        Layer k consumes layer k-1 outputs; output[i] is the concatenation of the
+        forward state after i+1 steps with the backward state after n-i steps.
+        """
+        if not inputs:
+            raise ValueError("bilstm over an empty sequence")
+
+        def states(cell, xs):
+            h, c = cell.initial_state()
+            hs = []
+            for x in xs:
+                h, c = cell.step(tape, h, c, x)
+                hs.append(h)
+            return hs
+
+        seq = list(inputs)
+        for fwd, bwd in zip(self.fwd, self.bwd):
+            f_hs = states(fwd, seq)
+            b_hs = states(bwd, seq[::-1])[::-1]
+            seq = [tape.concat(f, b) for f, b in zip(f_hs, b_hs)]
+        # final backward state is the one aligned with the first position
+        return seq, f_hs[-1], b_hs[0]
 
 
 class Mlp:
@@ -136,10 +114,6 @@ class Mlp:
             b = store.add(f"{name}/layer{k}/b", np.zeros((n_out, 1)))
             self.layers.append((w, b))
 
-    @property
-    def output_size(self):
-        return self.sizes[-1]
-
     def apply(self, tape, x: Tensor) -> Tensor:
         if x.value.shape != (self.sizes[0], 1):
             raise ShapeError(
@@ -152,7 +126,3 @@ class Mlp:
             if k != last:
                 out = tape.tanh(out)
         return out
-
-
-def mlp_apply(tape, mlp: Mlp, x: Tensor) -> Tensor:
-    return mlp.apply(tape, x)

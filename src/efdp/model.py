@@ -121,19 +121,25 @@ class ParserModel:
             raise DataError(f"model file not found: {path}")
         if not os.path.exists(meta_path(path)):
             raise DataError(f"model metadata not found: {meta_path(path)}")
-        with open(meta_path(path), encoding="utf-8") as f:
-            meta = json.load(f)
-        if meta.get("meta_version") != META_VERSION:
-            raise DataError(f"unsupported model metadata version {meta.get('meta_version')}")
-        cfg = dataclasses.replace(config if config is not None else Config(), **meta["arch"])
-        vocab = Vocab.from_meta(meta["vocab"])
-        if cfg.use_pretrained and pretrained is None:
-            raise ConfigError(
-                "model was trained with pretrained embeddings; pass the embedding file"
-            )
-        model = cls(cfg, vocab, pretrained=pretrained, seed=0)
+        try:
+            with open(meta_path(path), encoding="utf-8") as f:
+                meta = json.load(f)  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+        except ValueError as e:
+            raise DataError(f"malformed model metadata {meta_path(path)}: {e}") from None
+        version = meta.get("meta_version") if isinstance(meta, dict) else None
+        if version != META_VERSION:
+            raise DataError(f"unsupported model metadata version {version}")
+        try:
+            cfg = dataclasses.replace(config if config is not None else Config(), **meta["arch"])
+            if cfg.use_pretrained and pretrained is None:
+                raise ConfigError(
+                    "model was trained with pretrained embeddings; pass the embedding file"
+                )
+            model = cls(cfg, Vocab.from_meta(meta["vocab"]), pretrained=pretrained, seed=0)
+        except (KeyError, TypeError, ValueError, MemoryError) as e:  # dims come from the file
+            raise DataError(f"malformed model metadata {meta_path(path)}: {e!r}") from None
         with open(path, "rb") as f:
-            model.store.load_bytes(f.read(), strict=True)
+            model.store.load_bytes(f.read())
         return model
 
 

@@ -19,12 +19,11 @@ backpropagated once and the parameters take an Adam step.
 
 import logging
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .autodiff import Tape, constant
-from .easyfirst import LEFT, ActionScorer, apply_action, init_pending, parse
+from .easyfirst import ActionScorer, apply_action, head_and_dep, init_pending, parse
 from .evaluate import score as eval_score
 from .represent import encode_sentence
 
@@ -61,12 +60,7 @@ class OracleState:
 
 
 def is_valid(action, state: OracleState, pending) -> bool:
-    idx = action.position - 1
-    left_item, right_item = pending[idx], pending[idx + 1]
-    if action.direction == LEFT:
-        head, dep = right_item, left_item
-    else:
-        head, dep = left_item, right_item
+    head, dep = head_and_dep(pending, action)
     m = dep.head_index
     if not state.complete(m):
         return False
@@ -106,18 +100,6 @@ def hinge_loss(tape, actions, valid_mask, score_tensor):
     return tape.add(tape.sub(one, score_tensor(best_valid)), score_tensor(best_invalid))
 
 
-@dataclass
-class TrainBatch:
-    """Loss terms accumulated since the last update."""
-
-    losses: list = field(default_factory=list)
-    errors: int = 0
-
-    def reset(self):
-        self.losses = []
-        self.errors = 0
-
-
 class Trainer:
     """Single-threaded trainer with deferred updates.
 
@@ -137,25 +119,25 @@ class Trainer:
         self.rng = np.random.default_rng(cfg.seed if seed is None else seed)
         self.scorer_factory = scorer_factory or (lambda tape, model, sentence: ActionScorer(tape, model))
         self.tape = Tape()
-        self.batch = TrainBatch()
+        self.losses = []  # margin-violation terms of the current error window
         self.updates = 0
         self.epoch_loss = 0.0
 
     def _update(self) -> None:
-        if self.batch.losses:
-            total = self.batch.losses[0]
-            for term in self.batch.losses[1:]:
+        if self.losses:
+            total = self.losses[0]
+            for term in self.losses[1:]:
                 total = self.tape.add(total, term)
             self.tape.backward(total)
             cfg = self.model.config
             self.model.store.adam_step(self.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
             self.updates += 1
         self.tape = Tape()
-        self.batch.reset()
+        self.losses = []
 
     def flush(self) -> None:
         """Trailing update for whatever is left in the window."""
-        if self.batch.losses:
+        if self.losses:
             self._update()
 
     def train_sentence(self, sentence) -> float:
@@ -184,27 +166,16 @@ class Trainer:
                 choice = best_valid
                 if loss > 0.0:
                     term = hinge_loss(tape, actions, valid_mask, lambda a: scorer.score_tensor(pending, a))
-                    self.batch.losses.append(term)
-                    self.batch.errors += 1
+                    self.losses.append(term)
                     sentence_loss += loss
-            dep_pos = _dep_position(pending, choice)
             apply_action(tape, model, pending, choice, arcs)
-            state.on_attach(dep_pos)
-            if self.batch.errors > self.error_batch:
+            state.on_attach(arcs[-1].dep)
+            if len(self.losses) > self.error_batch:
                 self._update()
                 tape = self.tape
                 scorer = self.scorer_factory(tape, model, sentence)
         self.epoch_loss += sentence_loss
         return sentence_loss
-
-
-def _dep_position(pending, action):
-    idx = action.position - 1
-    return pending[idx].head_index if action.direction == LEFT else pending[idx + 1].head_index
-
-
-def train_step(sentence, model, trainer: Trainer) -> float:
-    return trainer.train_sentence(sentence)
 
 
 def train(corpus, model, epochs, dev=None, seed=None, early_stop=None, log_fn=None):

@@ -171,14 +171,12 @@ def parse_pretrained(text: str) -> PretrainedTable:
 
 
 def load_pretrained(path: str) -> PretrainedTable:
-    with open(path, encoding="utf-8") as f:
-        return parse_pretrained(f.read())
-
-
-@dataclass
-class WordVector:
-    v_prime: Tensor  # pre-context vector
-    v: Tensor  # contextual vector from the sentence BiLSTM
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
+    return parse_pretrained(text)
 
 
 def char_compose(tape, model, form: str) -> Tensor:
@@ -223,4 +221,4 @@ def encode_sentence(tape, model, sentence, train: bool = False, rng=None) -> lis
     """Contextual vectors for every token: concat of forward/backward states."""
     primes = [word_vector(tape, model, t, train=train, rng=rng) for t in sentence]
     contextual, _, _ = model.sent_net.run(tape, primes)
-    return [WordVector(vp, v) for vp, v in zip(primes, contextual)]
+    return contextual

@@ -139,8 +139,12 @@ def validate_tree(sentence: Sentence, label: str = "sentence") -> None:
 
 
 def read_conll(path: str, validate: bool = True) -> list:
-    with open(path, encoding="utf-8") as f:
-        return parse_conll(f.read(), validate=validate)
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except UnicodeDecodeError as e:
+        raise ConllError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
+    return parse_conll(text, validate=validate)
 
 
 def write_conll(sentences, predicted=None) -> str:

@@ -8,8 +8,6 @@ from efdp.autodiff import (
     ShapeError,
     Tape,
     constant,
-    load_params,
-    save_params,
 )
 from helpers import check_gradients
 
@@ -207,9 +205,9 @@ def test_adam_minimizes_a_quadratic():
 
 
 def test_empty_store_round_trips():
-    store = ParameterStore()
-    loaded = load_params(save_params(store))
-    assert len(loaded) == 0
+    loaded = ParameterStore()
+    loaded.load_bytes(ParameterStore().to_bytes())
+    assert list(loaded.items()) == []
 
 
 def test_round_trip_is_bit_exact():
@@ -217,28 +215,31 @@ def test_round_trip_is_bit_exact():
     store = ParameterStore()
     store.add("alpha", rng.standard_normal((4, 7)))
     store.add("beta/gamma", rng.standard_normal((1, 1)) * 1e-300)
-    data = save_params(store)
-    loaded = load_params(data)
+    data = store.to_bytes()
+    loaded = ParameterStore()
+    for name, p in store.items():
+        loaded.add(name, np.zeros_like(p.value))
+    loaded.load_bytes(data)
     for name, p in store.items():
         assert loaded[name].value.tobytes() == p.value.tobytes()
-    assert save_params(loaded) == data
+    assert loaded.to_bytes() == data
 
 
 def test_corrupted_magic_is_rejected():
     store = ParameterStore()
     store.add("w", np.ones((2, 2)))
-    data = bytearray(save_params(store))
+    data = bytearray(store.to_bytes())
     data[0] = ord("X")
     with pytest.raises(SerializationError, match="magic"):
-        load_params(bytes(data))
+        store.load_bytes(bytes(data))
 
 
 def test_truncated_file_is_rejected():
     store = ParameterStore()
     store.add("w", np.ones((2, 2)))
-    data = save_params(store)
+    data = store.to_bytes()
     with pytest.raises(SerializationError, match="truncated"):
-        load_params(data[:-5])
+        store.load_bytes(data[:-5])
 
 
 def test_strict_load_rejects_unknown_and_missing_names():
@@ -248,14 +249,14 @@ def test_strict_load_rejects_unknown_and_missing_names():
     receiver = ParameterStore()
     receiver.add("w", np.zeros((2, 2)))
     with pytest.raises(SerializationError, match="unknown parameter"):
-        receiver.load_bytes(save_params(donor), strict=True)
+        receiver.load_bytes(donor.to_bytes())
     sparse = ParameterStore()
     sparse.add("w", np.ones((2, 2)))
     both = ParameterStore()
     both.add("w", np.zeros((2, 2)))
     both.add("more", np.zeros((1, 1)))
     with pytest.raises(SerializationError, match="missing"):
-        both.load_bytes(save_params(sparse), strict=True)
+        both.load_bytes(sparse.to_bytes())
 
 
 def test_strict_load_checks_shapes():
@@ -264,7 +265,7 @@ def test_strict_load_checks_shapes():
     receiver = ParameterStore()
     receiver.add("w", np.zeros((3, 2)))
     with pytest.raises(SerializationError, match="shape"):
-        receiver.load_bytes(save_params(donor), strict=True)
+        receiver.load_bytes(donor.to_bytes())
 
 
 def test_duplicate_parameter_names_rejected():

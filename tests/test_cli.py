@@ -1,11 +1,15 @@
+import struct
+
 import pytest
 
 from efdp import cli
+from efdp.autodiff import FORMAT_VERSION, MAGIC
 from efdp.config import Config, parse_config
-from efdp.errors import ConfigError
+from efdp.errors import ConfigError, DataError
+from efdp.model import ParserModel, meta_path
 from efdp.synthetic import grammar_corpus
 from efdp.treebank import read_conll, write_conll, write_conll_file
-from helpers import TINY
+from helpers import TINY, tiny_model
 
 TINY_KEYS = "\n".join(f"{k} = {v}" for k, v in TINY.items())
 
@@ -211,3 +215,75 @@ def test_empty_input_parses_to_empty_output(workdir):
     assert run(["parse", "--config", workdir / "efdp.cfg", "--input", empty,
                 "--output", out]) == 0
     assert out.read_text() == ""
+
+
+NOT_UTF8 = "1\tm\u00e8o\t_\tN\tN\t_\t0\troot\t_\t_\n".encode("latin-1")
+
+
+def assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_non_utf8_treebank_is_a_data_error(workdir, capsys):
+    bad = workdir / "latin1.conll"
+    bad.write_bytes(NOT_UTF8)
+    assert run(["eval", bad, bad]) == 2
+    assert_one_line_error(capsys)
+
+
+def test_non_utf8_config_is_a_config_error(workdir, capsys):
+    bad = workdir / "latin1.cfg"
+    bad.write_bytes("train = m\u00e8o.conll\n".encode("latin-1"))
+    assert run(["train", "--config", bad]) == 1
+    assert_one_line_error(capsys)
+
+
+def test_non_utf8_pretrained_file_is_a_data_error(workdir, capsys):
+    bad = workdir / "latin1.vec"
+    bad.write_bytes("m\u00e8o 0.1 0.2\n".encode("latin-1"))
+    cfg = workdir / "pre.cfg"
+    cfg.write_text(
+        (workdir / "efdp.cfg").read_text() + f"use_pretrained = true\npretrained = {bad}\n",
+        encoding="utf-8",
+    )
+    assert run(["train", "--config", cfg]) == 2
+    assert_one_line_error(capsys)
+
+
+def _bad_meta_json(path):
+    (path.parent / meta_path(path.name)).write_text("{not json", encoding="utf-8")
+
+
+def _meta_without_arch(path):
+    (path.parent / meta_path(path.name)).write_text('{"meta_version": 1}', encoding="utf-8")
+
+
+def _non_utf8_parameter_name(path):
+    blob = bytearray(path.read_bytes())
+    blob[16] = 0xFF  # first byte of the first parameter name
+    path.write_bytes(bytes(blob))
+
+
+def _dims_overflowing_64_bits(path):
+    name = b"word_emb"
+    path.write_bytes(
+        MAGIC + struct.pack("<III", FORMAT_VERSION, 1, len(name)) + name
+        + struct.pack("<5I", 4, 2**16, 2**16, 2**16, 2**16) + bytes(8)
+    )
+
+
+@pytest.mark.parametrize(
+    "damage", [_bad_meta_json, _meta_without_arch, _non_utf8_parameter_name, _dims_overflowing_64_bits]
+)
+def test_malformed_model_files_are_data_errors(tmp_path, capsys, damage):
+    model, corpus = tiny_model(seed=4)
+    path = tmp_path / "model.bin"
+    model.save(str(path))
+    write_conll_file(str(tmp_path / "in.conll"), corpus)
+    damage(path)
+    with pytest.raises(DataError):
+        ParserModel.load(str(path))
+    assert run(["parse", "--model", path, "--input", tmp_path / "in.conll",
+                "--output", tmp_path / "out.conll"]) == 2
+    assert_one_line_error(capsys)

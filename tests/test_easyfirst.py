@@ -77,14 +77,14 @@ def test_leaf_encoding_matches_manual_computation():
     vectors = encode_sentence(tape, model, sentence)
     pending = init_pending(tape, model, vectors, sentence)
     null = model.null_label.value
-    for item, wv in zip(pending, vectors):
-        seed = np.vstack([wv.v.value, null])
+    for item, v in zip(pending, vectors):
+        seed = np.vstack([v.value, null])
         zeros = np.zeros((model.config.tree_hidden, 1))
         h_l, _ = manual_lstm_step(model.tree_left, zeros, zeros, seed)
         h_r, _ = manual_lstm_step(model.tree_right, zeros, zeros, seed)
         enc = np.tanh(model.w_e.value @ np.vstack([h_l, h_r, null]) + model.b_e.value)
         assert np.allclose(item.enc.value, enc, atol=1e-12)
-        assert item.n_left == item.n_right == 0
+        assert item.left_children == item.right_children == []
 
 
 def test_init_pending_rejects_empty():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from efdp.autodiff import ParameterStore, ShapeError, Tape, constant
-from efdp.layers import BiLstm, LstmCell, Mlp, lstm_step, run_bilstm
+from efdp.layers import BiLstm, LstmCell, Mlp
 from helpers import check_gradients
 
 
@@ -96,8 +96,8 @@ def test_reversed_input_swaps_directions_under_shared_weights():
     net = BiLstm(store, "bi", 3, 4, 1, rng)
     copy_weights(net.fwd[0], net.bwd[0])
     xs = [constant(rng.uniform(-1, 1, (3, 1))) for _ in range(5)]
-    fwd_out = run_bilstm(Tape(), net.fwd, net.bwd, xs)
-    rev_out = run_bilstm(Tape(), net.fwd, net.bwd, xs[::-1])
+    fwd_out, _, _ = net.run(Tape(), xs)
+    rev_out, _, _ = net.run(Tape(), xs[::-1])
     for i in range(5):
         a = fwd_out[i].value
         b = rev_out[4 - i].value
@@ -142,7 +142,7 @@ def test_bilstm_output_length_and_width(input_size, hidden, layers, n):
     rng = np.random.default_rng(0)
     net = BiLstm(store, "bi", input_size, hidden, layers, rng)
     xs = [constant(rng.uniform(-1, 1, (input_size, 1))) for _ in range(n)]
-    outputs = run_bilstm(Tape(), net.fwd, net.bwd, xs)
+    outputs, _, _ = net.run(Tape(), xs)
     assert len(outputs) == n
     assert all(o.value.shape == (2 * hidden, 1) for o in outputs)
 
@@ -198,10 +198,3 @@ def test_mlp_rejects_wrong_input_width():
     mlp = Mlp(store, "m", (3, 2), np.random.default_rng(0))
     with pytest.raises(ShapeError, match="m"):
         mlp.apply(Tape(), constant(np.zeros((4, 1))))
-
-
-def test_lstm_step_free_function():
-    store, cell = make_cell(2, 2, seed=11)
-    t = Tape()
-    h, c = lstm_step(t, cell, *cell.initial_state(), constant(np.ones((2, 1))))
-    assert h.value.shape == (2, 1)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from efdp.autodiff import ParameterStore, Tape, constant
-from efdp.easyfirst import LEFT, RIGHT, Action, enumerate_actions
+from efdp.easyfirst import LEFT, RIGHT, Action, enumerate_actions, head_and_dep
 from efdp.oracle import OracleState, Trainer, hinge_loss, hinge_margin, is_valid, train
 from efdp.synthetic import grammar_corpus, random_sentence
 from efdp.treebank import Sentence, Token
@@ -22,9 +23,7 @@ def sim_pending(sentence):
 
 
 def sim_apply(pending, action):
-    idx = action.position - 1
-    dep = pending[idx] if action.direction == LEFT else pending[idx + 1]
-    head = pending[idx + 1] if action.direction == LEFT else pending[idx]
+    head, dep = head_and_dep(pending, action)
     pending.remove(dep)
     return head.head_index, dep.head_index
 
@@ -142,9 +141,7 @@ def test_valid_actions_are_sound_when_gold_head_is_live():
                 if is_valid(a, state, pending)
             ]
             for a in valid:
-                idx = a.position - 1
-                dep = pending[idx] if a.direction == LEFT else pending[idx + 1]
-                head = pending[idx + 1] if a.direction == LEFT else pending[idx]
+                head, dep = head_and_dep(pending, a)
                 m = dep.head_index
                 assert state.gold_rel[m] == a.relation
                 if not state.orphaned(m):
@@ -152,6 +149,34 @@ def test_valid_actions_are_sound_when_gold_head_is_live():
             choice = valid[int(rng.integers(0, len(valid)))]
             _, dep = sim_apply(pending, choice)
             state.on_attach(dep)
+
+
+class DrawnRng:
+    """Stands in for a numpy Generator; hypothesis picks every integer."""
+
+    def __init__(self, draw):
+        self.draw = draw
+
+    def integers(self, low, high):
+        return self.draw(st.integers(low, high - 1))
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_every_reachable_state_offers_a_valid_action(data):
+    rng = DrawnRng(data.draw)
+    sentence = random_sentence(rng, n_min=2, n_max=10, relations=("a", "b", "c"))
+    rels = rel_index(sentence)
+    state = OracleState(sentence, rels)
+    pending = sim_pending(sentence)
+    while len(pending) > 1:
+        actions = enumerate_actions(len(pending), len(rels))
+        valid = [is_valid(a, state, pending) for a in actions]
+        assert any(valid), "oracle offered no valid action"
+        hinge_margin(actions, valid)
+        # follow any action, valid or not, into the next state
+        _, dep = sim_apply(pending, data.draw(st.sampled_from(actions)))
+        state.on_attach(dep)
 
 
 # ---- hinge loss ----
@@ -281,7 +306,7 @@ def test_zero_loss_model_never_updates():
         # the omniscient scorer must also drive the state forward
     trainer.flush()
     assert trainer.updates == 0
-    assert trainer.batch.errors == 0
+    assert trainer.losses == []
     after = model.store.snapshot()
     for name in before:
         assert np.array_equal(before[name], after[name])
@@ -296,13 +321,13 @@ def test_error_window_triggers_exactly_one_update_past_threshold():
     while steps + 5 <= 50:  # stay at or below the threshold: no update yet
         trainer.train_sentence(sentence)
         steps += 5
-    assert trainer.updates == 0 and trainer.batch.errors == steps
+    assert trainer.updates == 0 and len(trainer.losses) == steps
     trainer.train_sentence(sentence)  # crosses 51
     assert trainer.updates == 1
-    assert trainer.batch.errors == (steps + 5) - 51
+    assert len(trainer.losses) == (steps + 5) - 51
     trainer.flush()
     assert trainer.updates == 2
-    assert trainer.batch.errors == 0 and trainer.batch.losses == []
+    assert trainer.losses == []
 
 
 def test_exploration_follows_confident_invalid_choice_without_loss():
@@ -331,12 +356,12 @@ def test_exploration_follows_confident_invalid_choice_without_loss():
 
     explorer = Trainer(model, scorer_factory=lambda tape, m, s: OverconfidentScorer(m), explore=True)
     explorer.train_sentence(sentence)
-    first_step_losses = explorer.batch.errors
+    first_step_losses = len(explorer.losses)
     assert first_step_losses == 3  # remaining steps error, the explored one does not
 
     obedient = Trainer(model, scorer_factory=lambda tape, m, s: OverconfidentScorer(m), explore=False)
     obedient.train_sentence(sentence)
-    assert obedient.batch.errors == 4  # margin violated on every step
+    assert len(obedient.losses) == 4  # margin violated on every step
 
 
 def test_oracle_state_counts_remaining_children():

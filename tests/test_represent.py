@@ -216,7 +216,7 @@ def test_encode_sentence_lengths_and_single_token():
     for sentence in corpus[:3]:
         vectors = encode_sentence(Tape(), model, sentence)
         assert len(vectors) == len(sentence)
-        assert all(v.v.value.shape == (model.v_dim, 1) for v in vectors)
+        assert all(v.value.shape == (model.v_dim, 1) for v in vectors)
     single = Sentence((Token(1, "w01", "P0", 0, "root"),))
     vectors = encode_sentence(Tape(), model, single)
     assert len(vectors) == 1
@@ -226,12 +226,12 @@ def test_context_spreads_across_the_whole_sentence():
     model, corpus = tiny_model(seed=3)
     sentence = corpus[1]
     assert len(sentence) >= 3
-    base = [v.v.value.copy() for v in encode_sentence(Tape(), model, sentence)]
+    base = [v.value.copy() for v in encode_sentence(Tape(), model, sentence)]
     tokens = list(sentence.tokens)
     j = len(tokens) // 2
     other = "w00" if tokens[j].form != "w00" else "w01"
     tokens[j] = Token(tokens[j].index, other, tokens[j].pos, tokens[j].head, tokens[j].deprel)
-    changed = [v.v.value.copy() for v in encode_sentence(Tape(), model, Sentence(tuple(tokens)))]
+    changed = [v.value.copy() for v in encode_sentence(Tape(), model, Sentence(tuple(tokens)))]
     for i in range(len(tokens)):
         assert not np.array_equal(base[i], changed[i]), f"position {i} unchanged"
 
@@ -241,7 +241,7 @@ def test_gradients_reach_character_embeddings():
     sentence = corpus[0]
     t = Tape()
     vectors = encode_sentence(t, model, sentence)
-    loss = t.sum_all(t.concat(*[v.v for v in vectors]))
+    loss = t.sum_all(t.concat(*vectors))
     t.backward(loss)
     used = {cid for tok in sentence for cid in model.vocab.char_ids(tok.form)}
     for cid in used:
