@@ -1,6 +1,7 @@
 """Command-line entry point: train, parse, eval, and trace subcommands.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 data error.
+Exit codes: 0 success, 1 usage or configuration error or a path that cannot
+be read or written, 2 data error.
 The EFDP_SEED environment variable overrides the configured seed.
 """
 
@@ -92,26 +93,17 @@ def _require(cfg, name):
     return value
 
 
-def _read_treebank(path, validate=True):
-    if not os.path.exists(path):
-        raise ConfigError(f"file not found: {path}")
-    return treebank.read_conll(path, validate=validate)
-
-
 def _load_table(cfg):
     if not cfg.use_pretrained:
         return None
-    path = _require(cfg, "pretrained")
-    if not os.path.exists(path):
-        raise ConfigError(f"pretrained embedding file not found: {path}")
-    return load_pretrained(path)
+    return load_pretrained(_require(cfg, "pretrained"))
 
 
 def cmd_train(cfg: Config) -> int:
-    corpus = _read_treebank(_require(cfg, "train"))
+    corpus = treebank.read_conll(_require(cfg, "train"))
     dev = None
     if cfg.test:
-        dev = _read_treebank(cfg.test)
+        dev = treebank.read_conll(cfg.test)
     elif cfg.test_size:
         split = treebank.split_train_test(corpus, cfg.test_size)
         corpus, dev = split.train, split.test
@@ -141,7 +133,7 @@ def _predict_rows(model, sentences):
 def cmd_parse(cfg: Config, input_path: str, output_path: str) -> int:
     table = _load_table(cfg)
     model = ParserModel.load(_require(cfg, "model"), cfg, pretrained=table)
-    sentences = _read_treebank(input_path, validate=False)
+    sentences = treebank.read_conll(input_path, validate=False)
     text = treebank.write_conll(sentences, _predict_rows(model, sentences))
     if output_path == "-":
         sys.stdout.write(text)
@@ -153,8 +145,8 @@ def cmd_parse(cfg: Config, input_path: str, output_path: str) -> int:
 
 def cmd_eval(gold_path: str, predicted_path: str, exclude_punct: bool, punct_tags=Config.punct_tags, out=None) -> int:
     out = out or sys.stdout
-    gold = _read_treebank(gold_path)
-    predicted = _read_treebank(predicted_path)
+    gold = treebank.read_conll(gold_path)
+    predicted = treebank.read_conll(predicted_path)
     rows = [[Arc(t.head, t.index, t.deprel) for t in sentence] for sentence in predicted]
     tags = Config(punct_tags=punct_tags).punct_tag_set()
     result = evaluate.score(gold, rows, exclude_punct=exclude_punct, punct_tags=tags)
@@ -166,7 +158,7 @@ def cmd_trace(cfg: Config, input_path: str, index: int, out=None, scorer=None) -
     out = out or sys.stdout
     table = _load_table(cfg)
     model = ParserModel.load(_require(cfg, "model"), cfg, pretrained=table)
-    sentences = _read_treebank(input_path, validate=False)
+    sentences = treebank.read_conll(input_path, validate=False)
     if not 0 <= index < len(sentences):
         raise DataError(f"sentence index {index} out of range ({len(sentences)} sentences)")
     sentence = sentences[index]
@@ -195,6 +187,9 @@ def main(argv=None) -> int:
     except DataError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except OSError as e:  # a path that cannot be read or written
+        print(f"error: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

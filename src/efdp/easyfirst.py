@@ -19,6 +19,8 @@ most recently attached relation (a learned null label before any attachment).
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .autodiff import Tape
 from .represent import encode_sentence
 from .treebank import Sentence
@@ -29,12 +31,11 @@ WINDOW_BEFORE = 2  # pending slots i-2 .. i+3 feed the scorers
 WINDOW_AFTER = 3
 
 
-@dataclass
+@dataclass(frozen=True)
 class Action:
     position: int  # attachment point, 1-based: acts on pending pair (i, i+1)
     direction: int  # LEFT or RIGHT
     relation: int
-    score: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -47,12 +48,10 @@ class Arc:
 class PendingItem:
     """One partial structure: its head word plus both child-LSTM states."""
 
-    __slots__ = ("uid", "version", "head_index", "form", "left_state", "right_state",
+    __slots__ = ("head_index", "form", "left_state", "right_state",
                  "left_children", "right_children", "last_rel", "enc")
 
-    def __init__(self, uid, head_index, form, left_state, right_state, enc):
-        self.uid = uid
-        self.version = 0
+    def __init__(self, head_index, form, left_state, right_state, enc):
         self.head_index = head_index
         self.form = form
         self.left_state = left_state
@@ -82,14 +81,19 @@ def init_pending(tape, model, word_vectors, sentence: Sentence) -> list:
         seed = tape.concat(v, model.null_label)
         left = model.tree_left.step(tape, *model.tree_left.initial_state(), seed)
         right = model.tree_right.step(tape, *model.tree_right.initial_state(), seed)
-        item = PendingItem(pos, pos, token.form, left, right, None)
+        item = PendingItem(pos, token.form, left, right, None)
         item.enc = encode_node(tape, model, item)
         pending.append(item)
     return pending
 
 
 def enumerate_actions(pending_size: int, n_relations: int) -> list:
-    """All 2R(n-1) candidate actions for the current pending list."""
+    """All 2R(n-1) candidate actions in canonical order (position, direction, relation).
+
+    Entry k is the action that ``ActionScorer.scores`` scores at index k.
+    The order is position-major, so the list for a shorter pending list is a
+    prefix of the list for a longer one.
+    """
     if pending_size < 2:
         raise ValueError(f"no actions for a pending list of size {pending_size}")
     return [
@@ -107,9 +111,10 @@ class ActionScorer:
     learned pad vectors outside the list: one scores the direction alone, the
     other direction-relation pairs (laid out relation-major). An action's
     score is the sum of its two entries. Window outputs are cached keyed on
-    the identity and version of every slot, so after an attachment only
-    windows overlapping the changed item are recomputed; a cache never
-    outlives its tape.
+    the six slot tensors themselves: an attachment gives the head a new
+    encoding, so only windows overlapping the changed item are recomputed,
+    and the cache's references keep every key's identity unique. A cache
+    never outlives its tape.
     """
 
     def __init__(self, tape: Tape, model, cache: bool = True):
@@ -118,48 +123,30 @@ class ActionScorer:
         self.use_cache = cache
         self._cache = {}
 
-    def _window(self, pending, position):
-        key = []
-        slots = []
-        for p in range(position - WINDOW_BEFORE, position + WINDOW_AFTER + 1):
-            idx = p - 1
-            if idx < 0:
-                key.append("L")
-                slots.append(self.model.pad_left)
-            elif idx >= len(pending):
-                key.append("R")
-                slots.append(self.model.pad_right)
-            else:
-                item = pending[idx]
-                key.append((item.uid, item.version))
-                slots.append(item.enc)
-        return tuple(key), slots
-
     def outputs(self, pending, position):
         """(direction-scorer output, relation-scorer output) for one point."""
-        key, slots = self._window(pending, position)
-        hit = self._cache.get(key) if self.use_cache else None
+        model, n = self.model, len(pending)
+        slots = tuple(
+            model.pad_left if idx < 0 else model.pad_right if idx >= n else pending[idx].enc
+            for idx in range(position - 1 - WINDOW_BEFORE, position + WINDOW_AFTER)
+        )
+        hit = self._cache.get(slots) if self.use_cache else None
         if hit is not None:
             return hit
         x = self.tape.concat(*slots)
-        out = (self.model.mlp_u.apply(self.tape, x), self.model.mlp_r.apply(self.tape, x))
+        out = (model.mlp_u.apply(self.tape, x), model.mlp_r.apply(self.tape, x))
         if self.use_cache:
-            self._cache[key] = out
+            self._cache[slots] = out
         return out
 
-    def scores(self, pending) -> list:
-        """Scored actions in canonical order (position, direction, relation)."""
-        n_rel = self.model.n_relations
-        actions = []
+    def scores(self, pending) -> np.ndarray:
+        """The 2R(n-1) action scores as one flat array, in ``enumerate_actions`` order."""
+        parts = []
         for i in range(1, len(pending)):
             u_out, r_out = self.outputs(pending, i)
-            u = u_out.value
-            r = r_out.value
-            for d in (LEFT, RIGHT):
-                base = float(u[d, 0])
-                for rel in range(n_rel):
-                    actions.append(Action(i, d, rel, base + float(r[rel * 2 + d, 0])))
-        return actions
+            # relation-major (R, 2) transposed to (direction, relation)
+            parts.append(u_out.value + r_out.value.reshape(-1, 2).T)
+        return np.concatenate(parts, axis=None)
 
     def score_tensor(self, pending, action: Action):
         """The scalar score of one action as a graph node, for loss terms."""
@@ -168,11 +155,6 @@ class ActionScorer:
             self.tape.pick_row(u_out, action.direction),
             self.tape.pick_row(r_out, action.relation * 2 + action.direction),
         )
-
-
-def best_action(actions) -> Action:
-    """Argmax with deterministic ties: lowest position, LEFT first, lowest relation."""
-    return max(actions, key=lambda a: a.score)  # max keeps the first of equal scores
 
 
 def head_and_dep(pending, action: Action):
@@ -196,7 +178,6 @@ def apply_action(tape, model, pending, action: Action, arcs: list) -> None:
         head.right_state = model.tree_right.step(tape, *head.right_state, child)
         head.right_children.append(dep.head_index)
     head.last_rel = action.relation
-    head.version += 1
     head.enc = encode_node(tape, model, head)
     pending.remove(dep)
 
@@ -206,7 +187,9 @@ def parse(sentence: Sentence, model, scorer=None, trace=None) -> list:
 
     Returns n arcs including the root arc. ``scorer`` may override the neural
     scorer (it must provide ``scores(pending)``); ``trace`` is an optional
-    callable receiving one formatted line per step.
+    callable receiving one formatted line per step. Ties break canonically:
+    lowest position, then LEFT, then lowest relation, because ``argmax``
+    keeps the first maximum.
     """
     tape = Tape()
     arcs = []
@@ -219,18 +202,20 @@ def parse(sentence: Sentence, model, scorer=None, trace=None) -> list:
     pending = init_pending(tape, model, vectors, sentence)
     if scorer is None:
         scorer = ActionScorer(tape, model)
+    actions = enumerate_actions(len(pending), model.n_relations)
     step = 0
     while len(pending) > 1:
         step += 1
-        choice = best_action(scorer.scores(pending))
+        scores = scorer.scores(pending)
+        k = int(np.argmax(scores))
         if trace is not None:
-            trace(format_trace(step, choice, pending, model.rel_names))
-        apply_action(tape, model, pending, choice, arcs)
+            trace(format_trace(step, actions[k], scores[k], pending, model.rel_names))
+        apply_action(tape, model, pending, actions[k], arcs)
     arcs.append(Arc(0, pending[0].head_index, model.vocab.root_label))
     return arcs
 
 
-def format_trace(step: int, action: Action, pending, rel_names) -> str:
+def format_trace(step: int, action: Action, score: float, pending, rel_names) -> str:
     head, dep = head_and_dep(pending, action)
     return "\t".join(
         (
@@ -240,7 +225,7 @@ def format_trace(step: int, action: Action, pending, rel_names) -> str:
             rel_names[action.relation],
             head.form,
             dep.form,
-            f"{action.score:.4f}",
+            f"{score:.4f}",
         )
     )
 

@@ -23,7 +23,7 @@ import time
 import numpy as np
 
 from .autodiff import Tape, constant
-from .easyfirst import ActionScorer, apply_action, head_and_dep, init_pending, parse
+from .easyfirst import ActionScorer, apply_action, enumerate_actions, head_and_dep, init_pending, parse
 from .evaluate import score as eval_score
 from .represent import encode_sentence
 
@@ -69,31 +69,30 @@ def is_valid(action, state: OracleState, pending) -> bool:
     return state.gold_head[m] == head.head_index or state.orphaned(m)
 
 
-def hinge_margin(actions, valid_mask):
-    """(best valid, best invalid, margin loss value); ties break canonically."""
-    best_valid = best_invalid = None
-    for action, ok in zip(actions, valid_mask):
-        if ok:
-            if best_valid is None or action.score > best_valid.score:
-                best_valid = action
-        elif best_invalid is None or action.score > best_invalid.score:
-            best_invalid = action
-    if best_valid is None:
+def hinge_margin(scores, valid):
+    """(best valid index, best invalid index or None, margin loss value).
+
+    ``scores`` and the boolean ``valid`` mask are flat arrays over the
+    candidate actions; ties break canonically, since ``argmax`` keeps the
+    first maximum.
+    """
+    if not valid.any():
         raise RuntimeError("no valid action available; the oracle is inconsistent")
-    loss = 0.0
-    if best_invalid is not None:
-        loss = max(0.0, 1.0 - best_valid.score + best_invalid.score)
-    return best_valid, best_invalid, loss
+    best_valid = int(np.argmax(np.where(valid, scores, -np.inf)))
+    if valid.all():
+        return best_valid, None, 0.0
+    best_invalid = int(np.argmax(np.where(valid, -np.inf, scores)))
+    return best_valid, best_invalid, max(0.0, float(1.0 - scores[best_valid] + scores[best_invalid]))
 
 
-def hinge_loss(tape, actions, valid_mask, score_tensor):
+def hinge_loss(tape, scores, valid, score_tensor):
     """Margin-1 hinge over best valid vs best invalid, as a graph node.
 
     Returns None when the margin is already satisfied (or nothing is
     invalid), so zero-loss steps add nothing to the graph. ``score_tensor``
-    maps an action to its scalar score node.
+    maps an action index to its scalar score node.
     """
-    best_valid, best_invalid, loss = hinge_margin(actions, valid_mask)
+    best_valid, best_invalid, loss = hinge_margin(scores, valid)
     if best_invalid is None or loss <= 0.0:
         return None
     one = constant([[1.0]])
@@ -110,13 +109,12 @@ class Trainer:
     loss terms carry gradients.
     """
 
-    def __init__(self, model, lr=None, error_batch=None, explore=None, seed=None, scorer_factory=None):
+    def __init__(self, model, error_batch=None, explore=None, scorer_factory=None):
         cfg = model.config
         self.model = model
-        self.lr = cfg.lr if lr is None else lr
         self.error_batch = cfg.error_batch if error_batch is None else error_batch
         self.explore = cfg.explore if explore is None else explore
-        self.rng = np.random.default_rng(cfg.seed if seed is None else seed)
+        self.rng = np.random.default_rng(cfg.seed)
         self.scorer_factory = scorer_factory or (lambda tape, model, sentence: ActionScorer(tape, model))
         self.tape = Tape()
         self.losses = []  # margin-violation terms of the current error window
@@ -130,7 +128,7 @@ class Trainer:
                 total = self.tape.add(total, term)
             self.tape.backward(total)
             cfg = self.model.config
-            self.model.store.adam_step(self.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
+            self.model.store.adam_step(cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
             self.updates += 1
         self.tape = Tape()
         self.losses = []
@@ -150,25 +148,26 @@ class Trainer:
         pending = init_pending(tape, model, vectors, sentence)
         scorer = self.scorer_factory(tape, model, sentence)
         state = OracleState(sentence, model.vocab.rels)
+        actions = enumerate_actions(len(pending), model.n_relations)
         arcs = []
         sentence_loss = 0.0
         while len(pending) > 1:
-            actions = scorer.scores(pending)
-            valid_mask = [is_valid(a, state, pending) for a in actions]
-            best_valid, best_invalid, loss = hinge_margin(actions, valid_mask)
+            scores = scorer.scores(pending)
+            valid = np.array([is_valid(a, state, pending) for a in actions[: len(scores)]])
+            best_valid, best_invalid, loss = hinge_margin(scores, valid)
             if (
                 self.explore
                 and best_invalid is not None
-                and best_invalid.score > 1.0 + best_valid.score
+                and scores[best_invalid] > 1.0 + scores[best_valid]
             ):
                 choice = best_invalid  # follow the model into the error state
             else:
                 choice = best_valid
                 if loss > 0.0:
-                    term = hinge_loss(tape, actions, valid_mask, lambda a: scorer.score_tensor(pending, a))
+                    term = hinge_loss(tape, scores, valid, lambda k: scorer.score_tensor(pending, actions[k]))
                     self.losses.append(term)
                     sentence_loss += loss
-            apply_action(tape, model, pending, choice, arcs)
+            apply_action(tape, model, pending, actions[choice], arcs)
             state.on_attach(arcs[-1].dep)
             if len(self.losses) > self.error_batch:
                 self._update()
@@ -178,7 +177,7 @@ class Trainer:
         return sentence_loss
 
 
-def train(corpus, model, epochs, dev=None, seed=None, early_stop=None, log_fn=None):
+def train(corpus, model, epochs, dev=None, early_stop=None, log_fn=None):
     """Train for ``epochs`` passes with per-epoch shuffling and dev scoring.
 
     Keeps the parameters from the epoch with the best dev UAS (when dev is
@@ -187,8 +186,8 @@ def train(corpus, model, epochs, dev=None, seed=None, early_stop=None, log_fn=No
     """
     if not corpus:
         raise ValueError("empty training corpus")
-    trainer = Trainer(model, seed=seed)
-    order_rng = np.random.default_rng((model.config.seed if seed is None else seed) + 1)
+    trainer = Trainer(model)
+    order_rng = np.random.default_rng(model.config.seed + 1)
     metrics = []
     best = None
     best_snapshot = None

@@ -231,14 +231,13 @@ def test_hinge_matches_exhaustive_on_10000_configurations():
         valid = rng.integers(0, 2, k).astype(bool)
         if not valid.any():
             valid[int(rng.integers(0, k))] = True
-        actions = [Action(1, LEFT, i, float(s)) for i, s in enumerate(scores)]
         best_g = max(s for s, v in zip(scores, valid) if v)
         invalid = [s for s, v in zip(scores, valid) if not v]
         expected = max(0.0, 1.0 - best_g + max(invalid)) if invalid else 0.0
-        _, _, got = hinge_margin(actions, list(valid))
+        _, _, got = hinge_margin(scores, valid)
         assert got == expected  # same arithmetic, exact equality required
         tape = Tape()
-        term = hinge_loss(tape, actions, list(valid), lambda a: constant([[a.score]]))
+        term = hinge_loss(tape, scores, valid, lambda k: constant([[scores[k]]]))
         if expected > 0.0:
             assert term.item() == expected
         else:

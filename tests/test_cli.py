@@ -287,3 +287,27 @@ def test_malformed_model_files_are_data_errors(tmp_path, capsys, damage):
     assert run(["parse", "--model", path, "--input", tmp_path / "in.conll",
                 "--output", tmp_path / "out.conll"]) == 2
     assert_one_line_error(capsys)
+
+
+def _saved_model(path):
+    model, corpus = tiny_model(seed=4)
+    model.save(str(path / "model.bin"))
+    write_conll_file(str(path / "in.conll"), corpus)
+    return ["--model", path / "model.bin"]
+
+
+UNUSABLE_PATHS = {
+    "eval-directory": lambda d: ["eval", d, d],
+    "parse-input-directory": lambda d: ["parse", *_saved_model(d), "--input", d, "--output", d / "out.conll"],
+    "parse-output-in-missing-directory": lambda d: [
+        "parse", *_saved_model(d), "--input", d / "in.conll", "--output", d / "missing" / "out.conll"],
+    "train-model-directory": lambda d: ["train", "--config", d / "efdp.cfg", "--model", d],
+    "pretrained-directory": lambda d: [
+        "train", "--config", d / "efdp.cfg", "--use-pretrained", "--pretrained", d],
+}
+
+
+@pytest.mark.parametrize("argv", UNUSABLE_PATHS.values(), ids=UNUSABLE_PATHS.keys())
+def test_unusable_paths_are_one_line_errors(workdir, capsys, argv):
+    assert run(argv(workdir)) == 1
+    assert_one_line_error(capsys)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from efdp.autodiff import Tape
+from efdp.autodiff import Tape, constant
 from efdp.easyfirst import (
     LEFT,
     RIGHT,
@@ -9,7 +9,6 @@ from efdp.easyfirst import (
     ActionScorer,
     apply_action,
     arcs_to_rows,
-    best_action,
     enumerate_actions,
     format_trace,
     init_pending,
@@ -53,9 +52,7 @@ class ScriptedScorer:
         position, direction, rel_label = self.script.pop(0)
         target = (position, direction, self.rels[rel_label])
         actions = enumerate_actions(len(pending), self.n_relations)
-        for a in actions:
-            a.score = 10.0 if (a.position, a.direction, a.relation) == target else 0.0
-        return actions
+        return np.array([10.0 if (a.position, a.direction, a.relation) == target else 0.0 for a in actions])
 
 
 def manual_lstm_step(cell, h, c, x):
@@ -114,6 +111,8 @@ def test_action_count_formula():
         r = int(rng.integers(1, 41))
         brute = sum(1 for _ in range(1, n) for _ in range(2) for _ in range(r))
         assert len(enumerate_actions(n, r)) == brute == 2 * r * (n - 1)
+        for m in range(2, n):  # a shorter pending list enumerates a prefix
+            assert enumerate_actions(m, r) == enumerate_actions(n, r)[: 2 * r * (m - 1)]
 
 
 def test_enumerate_rejects_finished_parse():
@@ -231,23 +230,34 @@ def test_constant_shift_of_direction_scores_keeps_argmax():
     bias.value += 2.5
     shifted = ActionScorer(Tape(), model).scores(pending)
     bias.value -= 2.5
-    for a, b in zip(base, shifted):
-        assert b.score == pytest.approx(a.score + 2.5, abs=1e-9)
-    pick_a = best_action(base)
-    pick_b = best_action(shifted)
-    assert (pick_a.position, pick_a.direction, pick_a.relation) == (
-        pick_b.position,
-        pick_b.direction,
-        pick_b.relation,
-    )
+    assert np.allclose(shifted, base + 2.5, rtol=0.0, atol=1e-9)
+    assert np.argmax(base) == np.argmax(shifted)
+
+
+class EqualScorer:
+    """Scores every action 0: every step is a tie, and in training every step
+    violates the margin by exactly 1."""
+
+    def __init__(self, model):
+        self.n_relations = model.n_relations
+
+    def scores(self, pending):
+        return np.zeros(2 * self.n_relations * (len(pending) - 1))
+
+    def score_tensor(self, pending, action):
+        return constant([[0.0]])
 
 
 def test_tie_break_prefers_low_position_left_low_relation():
-    actions = enumerate_actions(4, 3)
-    for a in actions:
-        a.score = 0.0
-    choice = best_action(actions)
-    assert (choice.position, choice.direction, choice.relation) == (1, LEFT, 0)
+    model, sentence = fig_model()
+    lines = []
+    arcs = parse(sentence, model, scorer=EqualScorer(model), trace=lines.append)
+    # every step picks position 1, LEFT, relation 0: each word under the next
+    first = model.rel_names[0]
+    assert [line.split("\t")[1:4] for line in lines] == [["1", "LEFT", first]] * (len(sentence) - 1)
+    assert arc_set(arcs) == {(i + 1, i, first) for i in range(1, len(sentence))} | {
+        (0, len(sentence), model.vocab.root_label)
+    }
 
 
 def test_incremental_rescoring_matches_exhaustive():
@@ -261,11 +271,12 @@ def test_incremental_rescoring_matches_exhaustive():
             vectors = encode_sentence(tape, model, sentence)
             pending = init_pending(tape, model, vectors, sentence)
             scorer = ActionScorer(tape, model, cache=cache)
+            actions = enumerate_actions(len(pending), model.n_relations)
             log = []
             while len(pending) > 1:
-                actions = scorer.scores(pending)
-                log.append([(a.position, a.direction, a.relation, a.score) for a in actions])
-                apply_action(tape, model, pending, best_action(actions), [])
+                scores = scorer.scores(pending)
+                log.append(scores.tolist())
+                apply_action(tape, model, pending, actions[int(np.argmax(scores))], [])
             return log
 
         assert run(True) == run(False)
@@ -280,7 +291,9 @@ def test_scorer_output_sizes():
     u_out, r_out = scorer.outputs(pending, 1)
     assert u_out.value.shape == (2, 1)
     assert r_out.value.shape == (2 * model.n_relations, 1)
-    assert len(scorer.scores(pending)) == 2 * model.n_relations * (len(pending) - 1)
+    scores = scorer.scores(pending)
+    assert isinstance(scores, np.ndarray) and scores.dtype == np.float64
+    assert scores.shape == (2 * model.n_relations * (len(pending) - 1),)
 
 
 def test_score_tensor_agrees_with_scores():
@@ -289,8 +302,11 @@ def test_score_tensor_agrees_with_scores():
     vectors = encode_sentence(tape, model, sentence)
     pending = init_pending(tape, model, vectors, sentence)
     scorer = ActionScorer(tape, model)
-    for action in scorer.scores(pending)[:10]:
-        assert scorer.score_tensor(pending, action).item() == pytest.approx(action.score, abs=1e-12)
+    scores = scorer.scores(pending)
+    actions = enumerate_actions(len(pending), model.n_relations)
+    assert len(scores) == len(actions)
+    for action, score in zip(actions, scores):
+        assert scorer.score_tensor(pending, action).item() == pytest.approx(score, abs=1e-12)
 
 
 def test_trace_line_format():
@@ -310,5 +326,5 @@ def test_format_trace_names_head_and_dependent():
     tape = Tape()
     vectors = encode_sentence(tape, model, sentence)
     pending = init_pending(tape, model, vectors, sentence)
-    line = format_trace(1, Action(4, LEFT, model.vocab.rels["nmod"], 3.25), pending, model.rel_names)
+    line = format_trace(1, Action(4, LEFT, model.vocab.rels["nmod"]), 3.25, pending, model.rel_names)
     assert line.split("\t") == ["1", "4", "LEFT", "nmod", "mèo", "con", "3.2500"]

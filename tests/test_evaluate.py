@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +11,11 @@ from hypothesis import given, strategies as st
 from efdp.easyfirst import Arc
 from efdp.errors import DataError
 from efdp.evaluate import EvalResult, ablation_records, ablation_report, format_records, score
-from efdp.synthetic import random_sentence
-from efdp.treebank import Sentence, Token
+from efdp.synthetic import random_sentence, toy_corpus
+from efdp.treebank import Sentence, Token, write_conll_file
+from helpers import TINY
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def sentence_from(heads, rels, pos=None):
@@ -150,3 +157,27 @@ def test_condition_columns_and_records():
     by_key = {(r["config"], r["condition"]): r for r in records}
     delta = by_key[("word+pos+char", "gold")]["uas"] - by_key[("word+pos", "gold")]["uas"]
     assert delta == pytest.approx(1.29)
+
+
+def test_ablation_script_trains_and_scores_all_four_configurations(tmp_path):
+    corpus = toy_corpus(seed=3, count=6, n_min=3, n_max=6)
+    train = tmp_path / "train.conll"
+    write_conll_file(str(train), corpus)
+    forms = sorted({t.form for sentence in corpus for t in sentence})
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("".join(f"{w} 0.1 -0.2 0.3\n" for w in forms[:5]), encoding="utf-8")
+    cfg = tmp_path / "base.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in TINY.items()) + "epochs = 1\n", encoding="utf-8")
+    outdir = tmp_path / "runs"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_ablation.py"), "--train", str(train),
+         "--test", f"gold:{train}", "--pretrained", str(vectors), "--config", str(cfg), "--outdir", str(outdir)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    configs = ["word+pos", "+char", "+pretrained", "+char+pretrained"]
+    rows = done.stdout.strip().split("\n")[2:]  # below the header and rule
+    assert [row.split()[0] for row in rows] == configs
+    records = [json.loads(line) for line in (outdir / "ablation.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert [r["config"] for r in records] == configs

@@ -8,7 +8,7 @@ from efdp.oracle import OracleState, Trainer, hinge_loss, hinge_margin, is_valid
 from efdp.synthetic import grammar_corpus, random_sentence
 from efdp.treebank import Sentence, Token
 from helpers import tiny_model
-from test_easyfirst import fig_model, fig_sentence
+from test_easyfirst import EqualScorer, fig_model, fig_sentence
 
 
 class SimItem:
@@ -171,9 +171,9 @@ def test_every_reachable_state_offers_a_valid_action(data):
     pending = sim_pending(sentence)
     while len(pending) > 1:
         actions = enumerate_actions(len(pending), len(rels))
-        valid = [is_valid(a, state, pending) for a in actions]
-        assert any(valid), "oracle offered no valid action"
-        hinge_margin(actions, valid)
+        valid = np.array([is_valid(a, state, pending) for a in actions])
+        assert valid.any(), "oracle offered no valid action"
+        hinge_margin(np.zeros(len(actions)), valid)
         # follow any action, valid or not, into the next state
         _, dep = sim_apply(pending, data.draw(st.sampled_from(actions)))
         state.on_attach(dep)
@@ -183,34 +183,39 @@ def test_every_reachable_state_offers_a_valid_action(data):
 
 
 def scored(scores, valid):
-    actions = [Action(1, LEFT, i, s) for i, s in enumerate(scores)]
-    return actions, valid
+    return np.array(scores, dtype=float), np.array(valid)
+
+
+def constant_at(scores):
+    return lambda k: constant([[scores[k]]])
 
 
 def test_margin_satisfied_returns_none():
-    actions, valid = scored([3.0, 1.5], [True, False])
+    scores, valid = scored([3.0, 1.5], [True, False])
     t = Tape()
-    assert hinge_loss(t, actions, valid, lambda a: constant([[a.score]])) is None
+    assert hinge_loss(t, scores, valid, constant_at(scores)) is None
 
 
 def test_tied_scores_cost_exactly_the_margin():
-    actions, valid = scored([1.0, 1.0], [True, False])
-    _, _, loss = hinge_margin(actions, valid)
+    scores, valid = scored([1.0, 1.0], [True, False])
+    _, _, loss = hinge_margin(scores, valid)
     assert loss == 1.0
+    # among equal scores the first valid and the first invalid index win
+    assert hinge_margin(*scored([2.0] * 4, [False, True, False, True])) == (1, 0, 1.0)
     t = Tape()
-    term = hinge_loss(t, actions, valid, lambda a: constant([[a.score]]))
+    term = hinge_loss(t, scores, valid, constant_at(scores))
     assert term.item() == 1.0
 
 
 def test_no_invalid_actions_means_no_loss():
-    actions, valid = scored([0.5, 0.2], [True, True])
-    assert hinge_loss(Tape(), actions, valid, lambda a: constant([[a.score]])) is None
+    scores, valid = scored([0.5, 0.2], [True, True])
+    assert hinge_loss(Tape(), scores, valid, constant_at(scores)) is None
 
 
 def test_no_valid_action_is_an_internal_error():
-    actions, valid = scored([0.5], [False])
+    scores, valid = scored([0.5], [False])
     with pytest.raises(RuntimeError):
-        hinge_margin(actions, valid)
+        hinge_margin(scores, valid)
 
 
 def brute_force_hinge(scores, valid):
@@ -229,11 +234,11 @@ def test_hinge_matches_brute_force_on_random_configurations():
         valid = [bool(rng.integers(0, 2)) for _ in range(k)]
         if not any(valid):
             valid[int(rng.integers(0, k))] = True
-        actions, _ = scored(scores, valid)
         expected = brute_force_hinge(scores, valid)
-        _, _, got = hinge_margin(actions, valid)
+        scores, valid = scored(scores, valid)
+        _, _, got = hinge_margin(scores, valid)
         assert got == pytest.approx(expected, abs=0.0)
-        term = hinge_loss(Tape(), actions, valid, lambda a: constant([[a.score]]))
+        term = hinge_loss(Tape(), scores, valid, constant_at(scores))
         if expected > 0 and any(not v for v in valid):
             assert term.item() == pytest.approx(expected, abs=0.0)
         else:
@@ -244,9 +249,8 @@ def test_hinge_gradient_flows_to_both_chosen_scores():
     store = ParameterStore()
     s = store.add("s", np.array([[0.2], [0.1], [0.4]]))
     t = Tape()
-    actions = [Action(1, LEFT, i, float(s.value[i, 0])) for i in range(3)]
-    valid = [True, False, False]
-    term = hinge_loss(t, actions, valid, lambda a: t.pick_row(s, a.relation))
+    valid = np.array([True, False, False])
+    term = hinge_loss(t, s.value[:, 0].copy(), valid, lambda k: t.pick_row(s, k))
     t.backward(term)
     assert s.grad[0, 0] == -1.0  # best valid pushed up
     assert s.grad[2, 0] == 1.0  # best invalid pushed down
@@ -254,19 +258,6 @@ def test_hinge_gradient_flows_to_both_chosen_scores():
 
 
 # ---- training dynamics ----
-
-
-class FlatScorer:
-    """All scores zero; every step violates the margin by exactly 1."""
-
-    def __init__(self, model):
-        self.n_relations = model.n_relations
-
-    def scores(self, pending):
-        return enumerate_actions(len(pending), self.n_relations)
-
-    def score_tensor(self, pending, action):
-        return constant([[0.0]])
 
 
 class OmniscientScorer:
@@ -284,12 +275,11 @@ class OmniscientScorer:
             if t.index not in present:
                 state.on_attach(t.index)
         actions = enumerate_actions(len(pending), self.model.n_relations)
-        for a in actions:
-            a.score = 10.0 if is_valid(a, state, pending) else 0.0
-        return actions
+        self.score_of = {a: 10.0 if is_valid(a, state, pending) else 0.0 for a in actions}
+        return np.array(list(self.score_of.values()))
 
     def score_tensor(self, pending, action):
-        return constant([[action.score]])
+        return constant([[self.score_of[action]]])
 
 
 def test_zero_loss_model_never_updates():
@@ -314,7 +304,7 @@ def test_zero_loss_model_never_updates():
 
 def test_error_window_triggers_exactly_one_update_past_threshold():
     model, _ = tiny_model(seed=22, count=4)
-    trainer = Trainer(model, scorer_factory=lambda tape, m, s: FlatScorer(m), error_batch=50)
+    trainer = Trainer(model, scorer_factory=lambda tape, m, s: EqualScorer(m), error_batch=50)
     # sentences of length 6 contribute 5 error steps each
     sentence = random_sentence(np.random.default_rng(0), n_min=6, n_max=6)
     steps = 0
@@ -342,17 +332,16 @@ def test_exploration_follows_confident_invalid_choice_without_loss():
             actions = enumerate_actions(len(pending), self.n_relations)
             state = OracleState(sentence, model.vocab.rels)
             # score one clearly invalid action sky-high on the first call only
-            for a in actions:
-                a.score = 0.0
+            self.score_of = dict.fromkeys(actions, 0.0)
             if len(pending) == 5:
                 for a in actions:
                     if not is_valid(a, state, pending):
-                        a.score = 99.0
+                        self.score_of[a] = 99.0
                         break
-            return actions
+            return np.array(list(self.score_of.values()))
 
         def score_tensor(self, pending, action):
-            return constant([[action.score]])
+            return constant([[self.score_of[action]]])
 
     explorer = Trainer(model, scorer_factory=lambda tape, m, s: OverconfidentScorer(m), explore=True)
     explorer.train_sentence(sentence)
