@@ -60,6 +60,12 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     t.grad += g
 
 
+def _logistic(v: np.ndarray) -> np.ndarray:
+    # numerically stable split avoids overflow in exp for large |v|
+    expnv = np.exp(-np.abs(v))
+    return np.where(v >= 0, 1.0 / (1.0 + expnv), expnv / (1.0 + expnv))
+
+
 def _check_finite(op: str, value: np.ndarray) -> None:
     if not np.isfinite(value).all():
         raise FloatingPointError(f"{op} produced non-finite values")
@@ -139,10 +145,7 @@ class Tape:
         return self._push(out, backward)
 
     def logistic(self, x: Tensor) -> Tensor:
-        v = x.value
-        # numerically stable split avoids overflow in exp for large |x|
-        expnv = np.exp(-np.abs(v))
-        out = Tensor(np.where(v >= 0, 1.0 / (1.0 + expnv), expnv / (1.0 + expnv)))
+        out = Tensor(_logistic(x.value))
         _check_finite("logistic", out.value)
 
         def backward(g):
@@ -198,6 +201,39 @@ class Tape:
             _accumulate(x, g * c)
 
         return self._push(out, backward)
+
+    def lstm_gates(self, z: Tensor, c_prev: Tensor):
+        """(h, c) of one LSTM step from pre-activations z stacked [i; f; o; g].
+
+        c = f*c_prev + i*g and h = o*tanh(c), with logistic i, f, o and tanh g.
+        No finite check: finite z and c_prev give |c| <= |c_prev| + 1 and
+        |h| <= 1, and the ops that built z check it.
+        """
+        n = z.value.shape[0] // 4
+        if z.value.shape != (4 * n, 1) or c_prev.value.shape != (n, 1):
+            raise ShapeError(f"lstm_gates: {z.value.shape} for cell state {c_prev.value.shape}")
+        act = np.empty_like(z.value)
+        act[: 3 * n] = _logistic(z.value[: 3 * n])
+        act[3 * n :] = np.tanh(z.value[3 * n :])
+        i, f, o, g = act[:n], act[n : 2 * n], act[2 * n : 3 * n], act[3 * n :]
+        c = Tensor(f * c_prev.value + i * g)
+        tanh_c = np.tanh(c.value)
+        h = Tensor(o * tanh_c)
+        d_o = np.zeros_like(o)  # filled by h's record, which runs first in reverse
+
+        def backward_c(gc):
+            dz = np.concatenate((gc * g, gc * c_prev.value, d_o, gc * i))
+            dz[: 3 * n] *= act[: 3 * n] * (1.0 - act[: 3 * n])
+            dz[3 * n :] *= 1.0 - g * g
+            _accumulate(z, dz)
+            _accumulate(c_prev, gc * f)
+
+        def backward_h(gh):
+            d_o[:] = gh * tanh_c
+            _accumulate(c, gh * o * (1.0 - tanh_c * tanh_c))
+
+        self._push(c, backward_c)
+        return self._push(h, backward_h), c
 
     # ---- reverse pass ----
 
@@ -331,7 +367,10 @@ def _decode_entries(data: bytes):
             if len(raw) != 8 * n_values:
                 raise SerializationError("truncated model file")
             offset += 8 * n_values
-            entries.append((name, np.frombuffer(raw, dtype="<f8").reshape(dims).copy()))
+            try:  # a zero dim passes the size check above beside dims too large to address
+                entries.append((name, np.frombuffer(raw, dtype="<f8").reshape(dims).copy()))
+            except ValueError:
+                raise SerializationError(f"parameter {name!r}: dims {dims} are too large") from None
     except struct.error:
         raise SerializationError("truncated model file") from None
     except UnicodeDecodeError:

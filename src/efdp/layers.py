@@ -11,9 +11,13 @@ from .autodiff import ShapeError, Tensor
 GATES = ("input", "forget", "output", "cand")
 
 
-def glorot(rng, rows: int, cols: int) -> np.ndarray:
-    bound = np.sqrt(6.0 / (rows + cols))
-    return rng.uniform(-bound, bound, size=(rows, cols))
+def glorot(rng, out: np.ndarray) -> np.ndarray:
+    """Fills the (rows, cols) array ``out`` from U(-b, b), b = sqrt(6 / (rows + cols))."""
+    bound = np.sqrt(6.0 / sum(out.shape))
+    rng.random(out=out)  # the same draws and rounding as rng.uniform(-bound, bound)
+    out *= 2.0 * bound
+    out -= bound
+    return out
 
 
 def embedding_init(rng, rows: int, cols: int) -> np.ndarray:
@@ -21,19 +25,30 @@ def embedding_init(rng, rows: int, cols: int) -> np.ndarray:
 
 
 class LstmCell:
-    """Single LSTM cell: logistic input/forget/output gates, tanh candidate."""
+    """Single LSTM cell: logistic input/forget/output gates, tanh candidate.
+
+    The gates are stacked in GATES order into ``stacked`` = (W_x, W_h, b) with
+    4H rows each, so a step is two matmuls, two adds and one ``lstm_gates``.
+    The store's per-gate parameters ``name/gate/W_x|W_h|b`` are row blocks of
+    those matrices and of their gradient buffers; every write to a parameter
+    or gradient is in place, so the two stay one set of numbers.
+    """
 
     def __init__(self, store, name: str, input_size: int, hidden_size: int, rng):
         self.name = name
         self.input_size = input_size
         self.hidden_size = hidden_size
-        self.w_x = {}
-        self.w_h = {}
-        self.b = {}
-        for gate in GATES:
-            self.w_x[gate] = store.add(f"{name}/{gate}/W_x", glorot(rng, hidden_size, input_size))
-            self.w_h[gate] = store.add(f"{name}/{gate}/W_h", glorot(rng, hidden_size, hidden_size))
-            self.b[gate] = store.add(f"{name}/{gate}/b", np.zeros((hidden_size, 1)))
+        self.stacked = tuple(Tensor(np.zeros((4 * hidden_size, n))) for n in (input_size, hidden_size, 1))
+        for full in self.stacked:
+            full.grad = np.zeros_like(full.value)
+        self.w_x, self.w_h, self.b = {}, {}, {}
+        for k, gate in enumerate(GATES):
+            rows = slice(k * hidden_size, (k + 1) * hidden_size)
+            glorot(rng, self.stacked[0].value[rows])
+            glorot(rng, self.stacked[1].value[rows])
+            for by_gate, param, full in zip((self.w_x, self.w_h, self.b), ("W_x", "W_h", "b"), self.stacked):
+                by_gate[gate] = store.add(f"{name}/{gate}/{param}", full.value[rows])
+                by_gate[gate].grad = full.grad[rows]
 
     def initial_state(self):
         zeros = np.zeros((self.hidden_size, 1))
@@ -44,21 +59,9 @@ class LstmCell:
             raise ShapeError(
                 f"{self.name}: input shape {x.value.shape}, expected ({self.input_size}, 1)"
             )
-
-        def gate(name):
-            pre = tape.add(
-                tape.add(tape.matmul(self.w_x[name], x), tape.matmul(self.w_h[name], h_prev)),
-                self.b[name],
-            )
-            return tape.tanh(pre) if name == "cand" else tape.logistic(pre)
-
-        i = gate("input")
-        f = gate("forget")
-        o = gate("output")
-        g = gate("cand")
-        c = tape.add(tape.pointwise_mul(f, c_prev), tape.pointwise_mul(i, g))
-        h = tape.pointwise_mul(o, tape.tanh(c))
-        return h, c
+        w_x, w_h, b = self.stacked
+        z = tape.add(tape.add(tape.matmul(w_x, x), tape.matmul(w_h, h_prev)), b)
+        return tape.lstm_gates(z, c_prev)
 
 
 class BiLstm:
@@ -110,7 +113,7 @@ class Mlp:
         self.sizes = tuple(sizes)
         self.layers = []
         for k, (n_in, n_out) in enumerate(zip(sizes, sizes[1:])):
-            w = store.add(f"{name}/layer{k}/W", glorot(rng, n_out, n_in))
+            w = store.add(f"{name}/layer{k}/W", glorot(rng, np.empty((n_out, n_in))))
             b = store.add(f"{name}/layer{k}/b", np.zeros((n_out, 1)))
             self.layers.append((w, b))
 

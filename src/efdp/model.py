@@ -7,7 +7,6 @@ to rebuild the network before loading values into it.
 
 import dataclasses
 import json
-import os
 
 import numpy as np
 
@@ -80,7 +79,7 @@ class ParserModel:
             in_width += 2 * config.char_hidden
         if config.use_pretrained:
             in_width += pretrained.dim
-        self.w_v = store.add("w_v", glorot(rng, config.vprime_dim, in_width))
+        self.w_v = store.add("w_v", glorot(rng, np.empty((config.vprime_dim, in_width))))
         self.b_v = store.add("b_v", np.zeros((config.vprime_dim, 1)))
 
         if config.use_char:
@@ -94,7 +93,7 @@ class ParserModel:
         tree_in = self.v_dim + config.label_dim
         self.tree_left = LstmCell(store, "tree_left", tree_in, config.tree_hidden, rng)
         self.tree_right = LstmCell(store, "tree_right", tree_in, config.tree_hidden, rng)
-        self.w_e = store.add("w_e", glorot(rng, self.v_dim, 2 * config.tree_hidden + config.label_dim))
+        self.w_e = store.add("w_e", glorot(rng, np.empty((self.v_dim, 2 * config.tree_hidden + config.label_dim))))
         self.b_e = store.add("b_e", np.zeros((self.v_dim, 1)))
 
         window_width = 6 * self.v_dim
@@ -117,10 +116,6 @@ class ParserModel:
 
     @classmethod
     def load(cls, path: str, config: Config = None, pretrained: PretrainedTable = None) -> "ParserModel":
-        if not os.path.exists(path):
-            raise DataError(f"model file not found: {path}")
-        if not os.path.exists(meta_path(path)):
-            raise DataError(f"model metadata not found: {meta_path(path)}")
         try:
             with open(meta_path(path), encoding="utf-8") as f:
                 meta = json.load(f)  # JSONDecodeError and UnicodeDecodeError are ValueErrors

@@ -85,14 +85,15 @@ def hinge_margin(scores, valid):
     return best_valid, best_invalid, max(0.0, float(1.0 - scores[best_valid] + scores[best_invalid]))
 
 
-def hinge_loss(tape, scores, valid, score_tensor):
+def hinge_loss(tape, margin, score_tensor):
     """Margin-1 hinge over best valid vs best invalid, as a graph node.
 
+    ``margin`` is the triple ``hinge_margin`` returned for this step.
     Returns None when the margin is already satisfied (or nothing is
     invalid), so zero-loss steps add nothing to the graph. ``score_tensor``
     maps an action index to its scalar score node.
     """
-    best_valid, best_invalid, loss = hinge_margin(scores, valid)
+    best_valid, best_invalid, loss = margin
     if best_invalid is None or loss <= 0.0:
         return None
     one = constant([[1.0]])
@@ -154,7 +155,7 @@ class Trainer:
         while len(pending) > 1:
             scores = scorer.scores(pending)
             valid = np.array([is_valid(a, state, pending) for a in actions[: len(scores)]])
-            best_valid, best_invalid, loss = hinge_margin(scores, valid)
+            margin = best_valid, best_invalid, loss = hinge_margin(scores, valid)
             if (
                 self.explore
                 and best_invalid is not None
@@ -164,7 +165,7 @@ class Trainer:
             else:
                 choice = best_valid
                 if loss > 0.0:
-                    term = hinge_loss(tape, scores, valid, lambda k: scorer.score_tensor(pending, actions[k]))
+                    term = hinge_loss(tape, margin, lambda k: scorer.score_tensor(pending, actions[k]))
                     self.losses.append(term)
                     sentence_loss += loss
             apply_action(tape, model, pending, actions[choice], arcs)

@@ -156,6 +156,8 @@ def parse_pretrained(text: str) -> PretrainedTable:
             vec = np.array([float(p) for p in parts[1:] if p], dtype=np.float64)
         except ValueError:
             raise DataError(f"line {lineno + 1}: non-numeric embedding value") from None
+        if not np.isfinite(vec).all():
+            raise DataError(f"line {lineno + 1}: non-finite embedding value")
         if dim is None:
             dim = vec.size
             if dim == 0:

@@ -112,7 +112,7 @@ def test_gradient_integrity():
             tree_right=LstmCell(store, "tr", v_dim + label_dim, tree_hidden, rng),
             rel_emb=store.add("rel", embedding_init(rng, 3, label_dim)),
             null_label=store.add("null", embedding_init(rng, label_dim, 1)),
-            w_e=store.add("we", glorot(rng, v_dim, 2 * tree_hidden + label_dim)),
+            w_e=store.add("we", glorot(rng, np.empty((v_dim, 2 * tree_hidden + label_dim)))),
             b_e=store.add("be", np.zeros((v_dim, 1))),
             rel_names=["r0", "r1", "r2"],
             vocab=SimpleNamespace(root_label="root"),
@@ -237,7 +237,7 @@ def test_hinge_matches_exhaustive_on_10000_configurations():
         _, _, got = hinge_margin(scores, valid)
         assert got == expected  # same arithmetic, exact equality required
         tape = Tape()
-        term = hinge_loss(tape, scores, valid, lambda k: constant([[scores[k]]]))
+        term = hinge_loss(tape, hinge_margin(scores, valid), lambda k: constant([[scores[k]]]))
         if expected > 0.0:
             assert term.item() == expected
         else:

@@ -9,6 +9,7 @@ from efdp.autodiff import (
     Tape,
     constant,
 )
+from efdp.layers import LstmCell
 from helpers import check_gradients
 
 floats = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
@@ -44,6 +45,12 @@ def test_non_finite_forward_is_an_error():
     huge = constant(np.full((1, 1), 1e308))
     with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="matmul"):
         t.matmul(huge, constant([[10.0]]))
+    # an overflow before the fused LSTM gates would read as a saturated gate after them
+    store = ParameterStore()
+    cell = LstmCell(store, "cell", 2, 3, np.random.default_rng(0))
+    cell.w_x["input"].value[:] = 1e308
+    with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
+        cell.step(Tape(), *cell.initial_state(), constant(np.full((2, 1), 10.0)))
 
 
 def test_logistic_is_stable_for_large_inputs():

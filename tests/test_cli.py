@@ -273,8 +273,18 @@ def _dims_overflowing_64_bits(path):
     )
 
 
+def _zero_dim_beside_huge_dims(path):
+    name = b"word_emb"
+    path.write_bytes(
+        MAGIC + struct.pack("<III", FORMAT_VERSION, 1, len(name)) + name
+        + struct.pack("<4I", 3, 0, 2**32 - 1, 2**32 - 1)
+    )
+
+
 @pytest.mark.parametrize(
-    "damage", [_bad_meta_json, _meta_without_arch, _non_utf8_parameter_name, _dims_overflowing_64_bits]
+    "damage",
+    [_bad_meta_json, _meta_without_arch, _non_utf8_parameter_name, _dims_overflowing_64_bits,
+     _zero_dim_beside_huge_dims],
 )
 def test_malformed_model_files_are_data_errors(tmp_path, capsys, damage):
     model, corpus = tiny_model(seed=4)
@@ -304,6 +314,8 @@ UNUSABLE_PATHS = {
     "train-model-directory": lambda d: ["train", "--config", d / "efdp.cfg", "--model", d],
     "pretrained-directory": lambda d: [
         "train", "--config", d / "efdp.cfg", "--use-pretrained", "--pretrained", d],
+    "parse-missing-model": lambda d: [
+        "parse", "--model", d / "missing.bin", "--input", d / "train.conll", "--output", d / "out.conll"],
 }
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from efdp.autodiff import ParameterStore, ShapeError, Tape, constant
-from efdp.layers import BiLstm, LstmCell, Mlp
+from efdp.layers import GATES, BiLstm, LstmCell, Mlp
 from helpers import check_gradients
 
 
@@ -40,6 +40,8 @@ def test_step_rejects_wrong_input_size():
     t = Tape()
     with pytest.raises(ShapeError, match="cell"):
         cell.step(t, *cell.initial_state(), constant(np.zeros((5, 1))))
+    with pytest.raises(ShapeError, match="lstm_gates"):
+        cell.step(t, cell.initial_state()[0], constant(np.zeros((5, 1))), constant(np.zeros((3, 1))))
 
 
 def test_gradient_through_three_chained_steps():
@@ -55,6 +57,73 @@ def test_gradient_through_three_chained_steps():
         return t, t.sum_all(h)
 
     check_gradients(build, store)
+
+
+def reference_step(t, cell, h_prev, c_prev, x):
+    """The per-gate composition of generic tape ops that the fused step replaces."""
+
+    def gate(name):
+        pre = t.add(t.add(t.matmul(cell.w_x[name], x), t.matmul(cell.w_h[name], h_prev)), cell.b[name])
+        return t.tanh(pre) if name == "cand" else t.logistic(pre)
+
+    i, f, o, g = (gate(name) for name in GATES)
+    c = t.add(t.pointwise_mul(f, c_prev), t.pointwise_mul(i, g))
+    return t.pointwise_mul(o, t.tanh(c)), c
+
+
+def assert_stacked_blocks_are_the_gate_parameters(cell):
+    for full, by_gate in zip(cell.stacked, (cell.w_x, cell.w_h, cell.b)):
+        assert np.array_equal(full.value, np.vstack([by_gate[g].value for g in GATES]))
+        assert np.array_equal(full.grad, np.vstack([by_gate[g].grad for g in GATES]))
+
+
+@pytest.mark.parametrize("input_size, hidden_size, steps, seed", [(3, 4, 1, 0), (5, 2, 3, 1), (2, 6, 4, 2)])
+def test_fused_step_matches_per_gate_reference(input_size, hidden_size, steps, seed):
+    store, cell = make_cell(input_size, hidden_size, seed=seed)
+    rng = np.random.default_rng(100 + seed)
+    for _, p in store.items():
+        p.value[:] = rng.uniform(-1.5, 1.5, p.value.shape)
+    xs = rng.uniform(-1, 1, (steps, input_size, 1))
+    h0, c0 = rng.uniform(-1, 1, (2, hidden_size, 1))
+    weights = constant(rng.uniform(-1, 1, ((steps + 1) * hidden_size, 1)))
+
+    def run(step):
+        store.zero_grads()
+        inputs = [constant(x) for x in xs]
+        h, c = start = constant(h0), constant(c0)
+        t = Tape()
+        hs = []
+        for x in inputs:
+            h, c = step(t, h, c, x)
+            hs.append(h)
+        t.backward(t.sum_all(t.pointwise_mul(weights, t.concat(*hs, c))))
+        values = [h.value, c.value] + [v.grad for v in (*start, *inputs)]
+        return values, {name: p.grad.copy() for name, p in store.items()}
+
+    values, grads = run(cell.step)
+    assert_stacked_blocks_are_the_gate_parameters(cell)
+    ref_values, ref_grads = run(lambda t, h, c, x: reference_step(t, cell, h, c, x))
+    for got, want in zip(values, ref_values):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    for name, grad in grads.items():
+        np.testing.assert_allclose(grad, ref_grads[name], rtol=1e-12, atol=0, err_msg=name)
+
+    # every write to a parameter or gradient lands in the stacked matrices
+    saved = store.snapshot()
+    store.adam_step(lr=0.1)
+    assert_stacked_blocks_are_the_gate_parameters(cell)
+    store.restore(saved)
+    assert_stacked_blocks_are_the_gate_parameters(cell)
+    assert np.array_equal(cell.stacked[0].value[:hidden_size], saved["cell/input/W_x"])
+    other, _ = make_cell(input_size, hidden_size, seed=seed + 50)
+    store.load_bytes(other.to_bytes())
+    assert_stacked_blocks_are_the_gate_parameters(cell)
+    assert np.array_equal(cell.stacked[1].value[-hidden_size:], other["cell/cand/W_h"].value)
+    run(cell.step)
+    assert all(full.grad.any() for full in cell.stacked)
+    store.zero_grads()
+    assert_stacked_blocks_are_the_gate_parameters(cell)
+    assert not any(full.grad.any() for full in cell.stacked)
 
 
 def test_saturated_gates_freeze_the_cell_state():

@@ -193,7 +193,7 @@ def constant_at(scores):
 def test_margin_satisfied_returns_none():
     scores, valid = scored([3.0, 1.5], [True, False])
     t = Tape()
-    assert hinge_loss(t, scores, valid, constant_at(scores)) is None
+    assert hinge_loss(t, hinge_margin(scores, valid), constant_at(scores)) is None
 
 
 def test_tied_scores_cost_exactly_the_margin():
@@ -203,13 +203,13 @@ def test_tied_scores_cost_exactly_the_margin():
     # among equal scores the first valid and the first invalid index win
     assert hinge_margin(*scored([2.0] * 4, [False, True, False, True])) == (1, 0, 1.0)
     t = Tape()
-    term = hinge_loss(t, scores, valid, constant_at(scores))
+    term = hinge_loss(t, hinge_margin(scores, valid), constant_at(scores))
     assert term.item() == 1.0
 
 
 def test_no_invalid_actions_means_no_loss():
     scores, valid = scored([0.5, 0.2], [True, True])
-    assert hinge_loss(Tape(), scores, valid, constant_at(scores)) is None
+    assert hinge_loss(Tape(), hinge_margin(scores, valid), constant_at(scores)) is None
 
 
 def test_no_valid_action_is_an_internal_error():
@@ -238,7 +238,7 @@ def test_hinge_matches_brute_force_on_random_configurations():
         scores, valid = scored(scores, valid)
         _, _, got = hinge_margin(scores, valid)
         assert got == pytest.approx(expected, abs=0.0)
-        term = hinge_loss(Tape(), scores, valid, constant_at(scores))
+        term = hinge_loss(Tape(), hinge_margin(scores, valid), constant_at(scores))
         if expected > 0 and any(not v for v in valid):
             assert term.item() == pytest.approx(expected, abs=0.0)
         else:
@@ -250,7 +250,7 @@ def test_hinge_gradient_flows_to_both_chosen_scores():
     s = store.add("s", np.array([[0.2], [0.1], [0.4]]))
     t = Tape()
     valid = np.array([True, False, False])
-    term = hinge_loss(t, s.value[:, 0].copy(), valid, lambda k: t.pick_row(s, k))
+    term = hinge_loss(t, hinge_margin(s.value[:, 0].copy(), valid), lambda k: t.pick_row(s, k))
     t.backward(term)
     assert s.grad[0, 0] == -1.0  # best valid pushed up
     assert s.grad[2, 0] == 1.0  # best invalid pushed down

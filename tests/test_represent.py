@@ -97,6 +97,12 @@ def test_pretrained_dimension_mismatch_names_line():
         parse_pretrained("a 1.0 2.0\nb 1.0\n")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+def test_pretrained_non_finite_value_names_line(value):
+    with pytest.raises(DataError, match="line 2: non-finite"):
+        parse_pretrained(f"a 1.0 2.0\nb 1.0 {value}\n")
+
+
 def test_pretrained_empty_file_is_an_error():
     with pytest.raises(DataError):
         parse_pretrained("")
