@@ -46,6 +46,7 @@ def main():
     args = ap.parse_args()
 
     base = load_config(args.config) if args.config else Config()
+    base.validate()
     train_sents, dropped = filter_projective(read_conll(args.train))
     if dropped:
         print(f"excluded {dropped} non-projective training sentences", file=sys.stderr)

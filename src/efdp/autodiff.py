@@ -277,10 +277,7 @@ class ParameterStore:
 
     def zero_grads(self) -> None:
         for t in self._params.values():
-            if t.grad is None:
-                t.grad = np.zeros_like(t.value)
-            else:
-                t.grad[:] = 0.0
+            t.grad[:] = 0.0
 
     def adam_step(self, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
         """Standard Adam update with bias correction; grads are zeroed after."""
@@ -289,7 +286,7 @@ class ParameterStore:
         bc1 = 1.0 - beta1**t
         bc2 = 1.0 - beta2**t
         for name, p in self._params.items():
-            g = p.grad if p.grad is not None else np.zeros_like(p.value)
+            g = p.grad
             m = self._m[name]
             v = self._v[name]
             m *= beta1
@@ -333,6 +330,8 @@ class ParameterStore:
                 raise SerializationError(
                     f"parameter {name!r}: file shape {value.shape} != expected {p.value.shape}"
                 )
+            if not np.isfinite(value).all():
+                raise SerializationError(f"parameter {name!r} holds non-finite values")
             p.value[:] = value
             seen.add(name)
         missing = [n for n in self._params if n not in seen]
@@ -363,14 +362,14 @@ def _decode_entries(data: bytes):
             dims = struct.unpack_from(f"<{rank}I", view, offset)
             offset += 4 * rank
             n_values = math.prod(dims)  # exact: dims from a damaged file can be huge
-            raw = bytes(view[offset : offset + 8 * n_values])
-            if len(raw) != 8 * n_values:
+            if offset + 8 * n_values > len(view):
                 raise SerializationError("truncated model file")
-            offset += 8 * n_values
             try:  # a zero dim passes the size check above beside dims too large to address
-                entries.append((name, np.frombuffer(raw, dtype="<f8").reshape(dims).copy()))
+                values = np.frombuffer(view, dtype="<f8", count=n_values, offset=offset).reshape(dims)
             except ValueError:
                 raise SerializationError(f"parameter {name!r}: dims {dims} are too large") from None
+            entries.append((name, values))  # read-only views of ``data``
+            offset += 8 * n_values
     except struct.error:
         raise SerializationError("truncated model file") from None
     except UnicodeDecodeError:

@@ -2,12 +2,10 @@
 
 Exit codes: 0 success, 1 usage or configuration error or a path that cannot
 be read or written, 2 data error.
-The EFDP_SEED environment variable overrides the configured seed.
 """
 
 import argparse
 import logging
-import os
 import sys
 
 from . import evaluate, treebank
@@ -77,11 +75,6 @@ def _resolve_config(args) -> Config:
     for key in ("use_char", "use_pretrained", "word_dropout"):
         if getattr(args, key, None):
             setattr(cfg, key, True)
-    if os.environ.get("EFDP_SEED"):
-        try:
-            cfg.seed = int(os.environ["EFDP_SEED"])
-        except ValueError:
-            raise ConfigError(f"EFDP_SEED must be an integer, got {os.environ['EFDP_SEED']!r}") from None
     cfg.validate()
     return cfg
 
@@ -105,8 +98,10 @@ def cmd_train(cfg: Config) -> int:
     if cfg.test:
         dev = treebank.read_conll(cfg.test)
     elif cfg.test_size:
-        split = treebank.split_train_test(corpus, cfg.test_size)
-        corpus, dev = split.train, split.test
+        try:
+            corpus, dev = treebank.split_train_test(corpus, cfg.test_size)
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
     table = _load_table(cfg)
     projective, dropped = treebank.filter_projective(corpus)
     if dropped:
@@ -114,6 +109,10 @@ def cmd_train(cfg: Config) -> int:
     if not projective:
         raise DataError("no projective sentences left to train on")
     vocab = build_vocab(projective, cfg.min_word_freq)
+    if table is not None:
+        forms = {t.form for sentence in projective for t in sentence}
+        log.info("pretrained vectors cover %.2f%% of %d training word forms",
+                 100.0 * table.coverage(forms), len(forms))
     model = ParserModel(cfg, vocab, pretrained=table)
     train(projective, model, cfg.epochs, dev=dev)
     model_path = _require(cfg, "model")
@@ -143,14 +142,13 @@ def cmd_parse(cfg: Config, input_path: str, output_path: str) -> int:
     return 0
 
 
-def cmd_eval(gold_path: str, predicted_path: str, exclude_punct: bool, punct_tags=Config.punct_tags, out=None) -> int:
-    out = out or sys.stdout
+def cmd_eval(gold_path: str, predicted_path: str, exclude_punct: bool, punct_tags=Config.punct_tags) -> int:
     gold = treebank.read_conll(gold_path)
     predicted = treebank.read_conll(predicted_path)
     rows = [[Arc(t.head, t.index, t.deprel) for t in sentence] for sentence in predicted]
     tags = Config(punct_tags=punct_tags).punct_tag_set()
     result = evaluate.score(gold, rows, exclude_punct=exclude_punct, punct_tags=tags)
-    out.write(f"UAS {result.uas:.2f} LAS {result.las:.2f}\n")
+    sys.stdout.write(f"UAS {result.uas:.2f} LAS {result.las:.2f}\n")
     return 0
 
 

@@ -1,11 +1,12 @@
 """Run configuration: a flat dataclass loadable from key=value text files."""
 
 import dataclasses
+import math
 import typing
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import ConfigError
+from .errors import ConfigError, read_text
 from .evaluate import PUNCT_TAGS
 
 
@@ -62,6 +63,16 @@ class Config:
             raise ConfigError(f"error_batch must be >= 1, got {self.error_batch}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
+        if self.test_size is not None and self.test_size < 0:
+            raise ConfigError(f"test_size must be >= 0, got {self.test_size}")
+        for name in ("beta1", "beta2"):
+            value = getattr(self, name)
+            if not 0.0 <= value < 1.0:
+                raise ConfigError(f"{name} must be in [0, 1), got {value}")
+        for name in ("lr", "adam_eps", "dropout_alpha"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:  # also false for nan
+                raise ConfigError(f"{name} must be finite and positive, got {value}")
 
     def punct_tag_set(self) -> frozenset:
         return frozenset(t for t in self.punct_tags.split(",") if t)
@@ -114,17 +125,4 @@ def parse_config(text: str, base: Optional[Config] = None) -> Config:
 
 
 def load_config(path: str, base: Optional[Config] = None) -> Config:
-    try:
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
-    except (OSError, UnicodeDecodeError) as e:
-        raise ConfigError(f"cannot read config file {path}: {e}") from None
-    return parse_config(text, base)
-
-
-def format_config(cfg: Config) -> str:
-    lines = []
-    for f in dataclasses.fields(Config):
-        value = getattr(cfg, f.name)
-        lines.append(f"{f.name} = {'' if value is None else value}")
-    return "\n".join(lines) + "\n"
+    return parse_config(read_text(path, ConfigError), base)

@@ -48,16 +48,13 @@ class Arc:
 class PendingItem:
     """One partial structure: its head word plus both child-LSTM states."""
 
-    __slots__ = ("head_index", "form", "left_state", "right_state",
-                 "left_children", "right_children", "last_rel", "enc")
+    __slots__ = ("head_index", "form", "left_state", "right_state", "last_rel", "enc")
 
     def __init__(self, head_index, form, left_state, right_state, enc):
         self.head_index = head_index
         self.form = form
         self.left_state = left_state
         self.right_state = right_state
-        self.left_children = []  # head positions, nearest child first
-        self.right_children = []
         self.last_rel = None  # relation id of the most recent attachment
         self.enc = enc
 
@@ -173,10 +170,8 @@ def apply_action(tape, model, pending, action: Action, arcs: list) -> None:
     child = tape.concat(dep.enc, tape.pick_row(model.rel_emb, action.relation))
     if action.direction == LEFT:
         head.left_state = model.tree_left.step(tape, *head.left_state, child)
-        head.left_children.append(dep.head_index)
     else:
         head.right_state = model.tree_right.step(tape, *head.right_state, child)
-        head.right_children.append(dep.head_index)
     head.last_rel = action.relation
     head.enc = encode_node(tape, model, head)
     pending.remove(dep)

@@ -22,3 +22,12 @@ class ConllError(DataError):
 
 class TreeError(DataError):
     """A sentence whose head indices do not form a single-rooted tree."""
+
+
+def read_text(path: str, error: type) -> str:
+    """The contents of a UTF-8 text file; bytes that do not decode raise ``error``."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as e:
+        raise error(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None

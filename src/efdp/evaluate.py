@@ -57,24 +57,13 @@ def score(gold, predicted, exclude_punct: bool = False, punct_tags=PUNCT_TAGS) -
     return EvalResult(uas, las, total, heads, labeled, per_relation)
 
 
-def _normalize(results):
-    """Accept config -> EvalResult or config -> {condition -> EvalResult}."""
-    table = {}
-    conditions = []
-    for config, value in results.items():
-        row = value if isinstance(value, dict) else {"test": value}
-        table[config] = row
-        for condition in row:
-            if condition not in conditions:
-                conditions.append(condition)
-    return table, conditions
-
-
 def ablation_records(results) -> list:
-    """Machine-readable rows, one JSON-compatible record per cell."""
-    table, _ = _normalize(results)
+    """Machine-readable rows, one JSON-compatible record per cell.
+
+    ``results`` maps each feature configuration to {condition -> EvalResult}.
+    """
     records = []
-    for config, row in table.items():
+    for config, row in results.items():
         for condition, result in row.items():
             records.append(
                 {
@@ -90,14 +79,12 @@ def ablation_records(results) -> list:
 
 def ablation_report(results) -> str:
     """Aligned text table: one row per feature configuration."""
-    table, conditions = _normalize(results)
-    if not conditions:
-        conditions = ["test"]
+    conditions = list(dict.fromkeys(c for row in results.values() for c in row)) or ["test"]
     headers = ["model"]
     for condition in conditions:
         headers += [f"{condition} UAS%", f"{condition} LAS%"]
     rows = [headers]
-    for config, row in table.items():
+    for config, row in results.items():
         cells = [config]
         for condition in conditions:
             result = row.get(condition)

@@ -40,7 +40,7 @@ ARCH_FIELDS = (
 class ParserModel:
     """All trainable parameters plus hyperparameters and vocabularies."""
 
-    def __init__(self, config: Config, vocab: Vocab, pretrained: PretrainedTable = None, seed: int = None):
+    def __init__(self, config: Config, vocab: Vocab, pretrained: PretrainedTable = None):
         if config.use_pretrained:
             if pretrained is None:
                 raise ConfigError("use_pretrained is set but no pretrained table was given")
@@ -55,7 +55,7 @@ class ParserModel:
         self.pretrained = pretrained
         self.rel_names = vocab.rel_names
         self.store = ParameterStore()
-        rng = np.random.default_rng(config.seed if seed is None else seed)
+        rng = np.random.default_rng(config.seed)
         store = self.store
 
         self.v_dim = 2 * config.sent_hidden  # contextual vector size
@@ -130,7 +130,7 @@ class ParserModel:
                 raise ConfigError(
                     "model was trained with pretrained embeddings; pass the embedding file"
                 )
-            model = cls(cfg, Vocab.from_meta(meta["vocab"]), pretrained=pretrained, seed=0)
+            model = cls(cfg, Vocab.from_meta(meta["vocab"]), pretrained=pretrained)
         except (KeyError, TypeError, ValueError, MemoryError) as e:  # dims come from the file
             raise DataError(f"malformed model metadata {meta_path(path)}: {e!r}") from None
         with open(path, "rb") as f:

@@ -110,11 +110,11 @@ class Trainer:
     loss terms carry gradients.
     """
 
-    def __init__(self, model, error_batch=None, explore=None, scorer_factory=None):
+    def __init__(self, model, error_batch=None, scorer_factory=None):
         cfg = model.config
         self.model = model
         self.error_batch = cfg.error_batch if error_batch is None else error_batch
-        self.explore = cfg.explore if explore is None else explore
+        self.explore = cfg.explore
         self.rng = np.random.default_rng(cfg.seed)
         self.scorer_factory = scorer_factory or (lambda tape, model, sentence: ActionScorer(tape, model))
         self.tape = Tape()
@@ -178,7 +178,7 @@ class Trainer:
         return sentence_loss
 
 
-def train(corpus, model, epochs, dev=None, early_stop=None, log_fn=None):
+def train(corpus, model, epochs, dev=None, early_stop=None):
     """Train for ``epochs`` passes with per-epoch shuffling and dev scoring.
 
     Keeps the parameters from the epoch with the best dev UAS (when dev is
@@ -192,7 +192,6 @@ def train(corpus, model, epochs, dev=None, early_stop=None, log_fn=None):
     metrics = []
     best = None
     best_snapshot = None
-    emit = log_fn if log_fn is not None else lambda line: log.info("%s", line)
     for epoch in range(1, epochs + 1):
         started = time.time()
         trainer.epoch_loss = 0.0
@@ -217,7 +216,7 @@ def train(corpus, model, epochs, dev=None, early_stop=None, log_fn=None):
                 best = result.uas
                 best_snapshot = model.store.snapshot()
         metrics.append(record)
-        emit(
+        log.info(
             "epoch {epoch} sentences {sentences} loss {loss:.4f} updates {updates}".format(**record)
             + (
                 " dev_uas {dev_uas:.2f} dev_las {dev_las:.2f}".format(**record)

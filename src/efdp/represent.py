@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor
-from .errors import DataError
+from .errors import DataError, read_text
 
 UNK_ID = 0
 PAD_ID = 1
@@ -47,9 +47,6 @@ class Vocab:
 
     def char_ids(self, form: str) -> list:
         return [self.chars.get(ch, UNK_ID) for ch in form]
-
-    def rel_id(self, label: str) -> int:
-        return self.rels.get(label, -1)
 
     def to_meta(self) -> dict:
         ordered = lambda mapping: [k for k, _ in sorted(mapping.items(), key=lambda kv: kv[1])]
@@ -117,9 +114,6 @@ class PretrainedTable:
         else:
             self.unk = np.mean(list(vectors.values()), axis=0)
 
-    def __len__(self):
-        return len(self.vectors)
-
     def lookup(self, form: str) -> np.ndarray:
         hit = self.vectors.get(form)
         if hit is None:
@@ -173,12 +167,7 @@ def parse_pretrained(text: str) -> PretrainedTable:
 
 
 def load_pretrained(path: str) -> PretrainedTable:
-    try:
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
-    except UnicodeDecodeError as e:
-        raise DataError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
-    return parse_pretrained(text)
+    return parse_pretrained(read_text(path, DataError))
 
 
 def char_compose(tape, model, form: str) -> Tensor:

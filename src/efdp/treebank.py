@@ -7,7 +7,7 @@ relation label. Text is UTF-8 and never case-folded or normalized.
 
 from dataclasses import dataclass
 
-from .errors import ConllError, TreeError
+from .errors import ConllError, TreeError, read_text
 
 N_COLUMNS = 10
 
@@ -37,12 +37,6 @@ class Sentence:
     @property
     def forms(self):
         return [t.form for t in self.tokens]
-
-
-@dataclass
-class TreebankSplit:
-    train: list
-    test: list
 
 
 def parse_conll(text: str, validate: bool = True) -> list:
@@ -139,12 +133,7 @@ def validate_tree(sentence: Sentence, label: str = "sentence") -> None:
 
 
 def read_conll(path: str, validate: bool = True) -> list:
-    try:
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
-    except UnicodeDecodeError as e:
-        raise ConllError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
-    return parse_conll(text, validate=validate)
+    return parse_conll(read_text(path, ConllError), validate=validate)
 
 
 def write_conll(sentences, predicted=None) -> str:
@@ -203,15 +192,14 @@ def is_projective(sentence: Sentence) -> bool:
     return True
 
 
-def split_train_test(sentences, test_size: int) -> TreebankSplit:
-    """Hold out the final ``test_size`` sentences in file order."""
+def split_train_test(sentences, test_size: int):
+    """(train, test): the final ``test_size`` sentences in file order are held out."""
     if test_size > len(sentences):
         raise ValueError(
             f"test size {test_size} exceeds corpus size {len(sentences)}"
         )
-    if test_size == 0:
-        return TreebankSplit(train=list(sentences), test=[])
-    return TreebankSplit(train=list(sentences[:-test_size]), test=list(sentences[-test_size:]))
+    cut = len(sentences) - test_size
+    return list(sentences[:cut]), list(sentences[cut:])
 
 
 def filter_projective(sentences):

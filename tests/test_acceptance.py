@@ -183,9 +183,7 @@ def test_overfit_small_corpus():
         assert is_projective(s)
     vocab = build_vocab(corpus)
     model = ParserModel(Config(seed=7), vocab)  # default dims
-    metrics = train(
-        corpus, model, 30, dev=corpus, early_stop=(100.0, 100.0), log_fn=lambda line: None
-    )
+    metrics = train(corpus, model, 30, dev=corpus, early_stop=(100.0, 100.0))
     final = metrics[-1]
     assert final["epoch"] <= 30
     assert final["dev_uas"] == 100.0 and final["dev_las"] == 100.0

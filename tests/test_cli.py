@@ -1,3 +1,4 @@
+import logging
 import struct
 
 import pytest
@@ -48,6 +49,20 @@ def test_config_validation():
         Config(word_dim=0).validate()
     with pytest.raises(ConfigError, match="error_batch"):
         Config(error_batch=0).validate()
+    for bad in (dict(test_size=-3), dict(beta1=1.0), dict(beta1=-0.1), dict(beta2=1.0),
+                dict(lr=float("nan")), dict(lr=float("inf")), dict(adam_eps=0.0),
+                dict(dropout_alpha=-1.0)):
+        (name,) = bad
+        with pytest.raises(ConfigError, match=name):
+            Config(**bad).validate()
+    Config(test_size=0, beta1=0.0, beta2=0.0).validate()
+
+
+@pytest.mark.parametrize("size", [-3, 13, 999])
+def test_out_of_range_test_size_is_a_config_error(workdir, capsys, size):
+    assert run(["train", "--config", workdir / "efdp.cfg", "--test-size", size]) == 1
+    assert_one_line_error(capsys)
+    assert not (workdir / "model.bin").exists()
 
 
 def test_train_parse_eval_round_trip(workdir, capsys):
@@ -153,14 +168,13 @@ def test_train_runs_are_deterministic(workdir):
     assert models[0] == models[1]
 
 
-def test_seed_env_var_changes_the_model(workdir, monkeypatch):
+def test_seed_flag_changes_the_model(workdir):
     cfg_text = (workdir / "efdp.cfg").read_text()
     outputs = []
     for tag, seed in (("x", "3"), ("y", "99")):
         cfg = workdir / f"seed_{tag}.cfg"
         cfg.write_text(cfg_text.replace("model.bin", f"model_{tag}.bin"), encoding="utf-8")
-        monkeypatch.setenv("EFDP_SEED", seed)
-        assert run(["train", "--config", cfg]) == 0
+        assert run(["train", "--config", cfg, "--seed", seed]) == 0
         outputs.append((workdir / f"model_{tag}.bin").read_bytes())
     assert outputs[0] != outputs[1]
 
@@ -173,6 +187,17 @@ def test_saved_model_reproduces_scores(workdir, capsys):
         assert run(["parse", "--config", workdir / "efdp.cfg",
                     "--input", workdir / "train.conll", "--output", out]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_train_logs_pretrained_coverage(workdir, caplog):
+    forms = sorted({t.form for s in read_conll(str(workdir / "train.conll")) for t in s})
+    vectors = workdir / "vectors.txt"
+    vectors.write_text("".join(f"{f} 0.5 -0.5\n" for f in forms[:3]), encoding="utf-8")
+    caplog.set_level(logging.INFO)
+    assert run(["train", "--config", workdir / "efdp.cfg", "--epochs", 1,
+                "--use-pretrained", "--pretrained", vectors]) == 0
+    expected = f"pretrained vectors cover {100 * 3 / len(forms):.2f}% of {len(forms)} training word forms"
+    assert expected in caplog.messages
 
 
 def test_split_holdout_from_single_file(workdir, capsys):
@@ -197,7 +222,7 @@ def test_reloaded_model_reproduces_dev_scores(tmp_path):
     corpus = grammar_corpus(seed=14, count=8)
     vocab = build_vocab(corpus)
     model = ParserModel(Cfg(seed=2, **TINY), vocab)
-    metrics = train(corpus, model, 2, dev=corpus, log_fn=lambda line: None)
+    metrics = train(corpus, model, 2, dev=corpus)
     model.save(str(tmp_path / "m.bin"))
     reloaded = ParserModel.load(str(tmp_path / "m.bin"))
     result = score(corpus, [parse(s, reloaded) for s in corpus])
@@ -273,6 +298,12 @@ def _dims_overflowing_64_bits(path):
     )
 
 
+def _non_finite_value(path):
+    blob = bytearray(path.read_bytes())
+    blob[-8:] = struct.pack("<d", float("nan"))  # last value of the last parameter
+    path.write_bytes(bytes(blob))
+
+
 def _zero_dim_beside_huge_dims(path):
     name = b"word_emb"
     path.write_bytes(
@@ -284,7 +315,7 @@ def _zero_dim_beside_huge_dims(path):
 @pytest.mark.parametrize(
     "damage",
     [_bad_meta_json, _meta_without_arch, _non_utf8_parameter_name, _dims_overflowing_64_bits,
-     _zero_dim_beside_huge_dims],
+     _zero_dim_beside_huge_dims, _non_finite_value],
 )
 def test_malformed_model_files_are_data_errors(tmp_path, capsys, damage):
     model, corpus = tiny_model(seed=4)
@@ -314,6 +345,8 @@ UNUSABLE_PATHS = {
     "train-model-directory": lambda d: ["train", "--config", d / "efdp.cfg", "--model", d],
     "pretrained-directory": lambda d: [
         "train", "--config", d / "efdp.cfg", "--use-pretrained", "--pretrained", d],
+    "config-missing": lambda d: ["train", "--config", d / "missing.cfg"],
+    "config-directory": lambda d: ["train", "--config", d],
     "parse-missing-model": lambda d: [
         "parse", "--model", d / "missing.bin", "--input", d / "train.conll", "--output", d / "out.conll"],
 }

@@ -37,7 +37,7 @@ def fig_sentence():
 def fig_model(seed=0):
     sentence = fig_sentence()
     vocab = build_vocab([sentence])
-    return ParserModel(Config(seed=seed, **TINY), vocab, seed=seed), sentence
+    return ParserModel(Config(seed=seed, **TINY), vocab), sentence
 
 
 class ScriptedScorer:
@@ -81,7 +81,7 @@ def test_leaf_encoding_matches_manual_computation():
         h_r, _ = manual_lstm_step(model.tree_right, zeros, zeros, seed)
         enc = np.tanh(model.w_e.value @ np.vstack([h_l, h_r, null]) + model.b_e.value)
         assert np.allclose(item.enc.value, enc, atol=1e-12)
-        assert item.left_children == item.right_children == []
+        assert item.last_rel is None  # no child attached yet
 
 
 def test_init_pending_rejects_empty():
@@ -137,7 +137,7 @@ def test_figure_one_action_sequence():
     apply_action(tape, model, pending, Action(3, LEFT, model.vocab.rels["det"]), arcs)
     assert [p.form for p in pending] == ["Tôi", "có", "mèo"]
     assert (arcs[-1].head, arcs[-1].dep, arcs[-1].rel) == (5, 3, "det")
-    assert meo.left_children == [4, 3]  # nearest child first
+    assert [a.dep for a in arcs if a.head == 5] == [4, 3]  # nearest child first
 
     apply_action(tape, model, pending, Action(2, RIGHT, model.vocab.rels["dobj"]), arcs)
     assert [p.form for p in pending] == ["Tôi", "có"]
@@ -147,10 +147,8 @@ def test_figure_one_action_sequence():
     assert [p.form for p in pending] == ["có"]
     assert (arcs[-1].head, arcs[-1].dep, arcs[-1].rel) == (2, 1, "nsubj")
 
-    co = pending[0]
-    assert co.left_children == [1] and co.right_children == [5]
-    assert all(c < co.head_index for c in co.left_children)
-    assert all(c > co.head_index for c in co.right_children)
+    assert pending[0].head_index == 2
+    assert [a.dep for a in arcs if a.head == 2] == [5, 1]
     heads = {arc.dep: arc.head for arc in arcs}
     assert heads == {4: 5, 3: 5, 5: 2, 1: 2}
 

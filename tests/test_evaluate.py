@@ -135,7 +135,7 @@ def test_empty_map_renders_header_only():
 
 def test_single_config_renders_one_row():
     result = EvalResult(80.0, 60.0, 5, 4, 3)
-    report = ablation_report({"word+pos": result})
+    report = ablation_report({"word+pos": {"test": result}})
     lines = report.strip().split("\n")
     assert len(lines) == 3
     assert "word+pos" in lines[2] and "80.00" in lines[2] and "60.00" in lines[2]

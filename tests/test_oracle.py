@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -343,12 +345,14 @@ def test_exploration_follows_confident_invalid_choice_without_loss():
         def score_tensor(self, pending, action):
             return constant([[self.score_of[action]]])
 
-    explorer = Trainer(model, scorer_factory=lambda tape, m, s: OverconfidentScorer(m), explore=True)
+    assert model.config.explore
+    explorer = Trainer(model, scorer_factory=lambda tape, m, s: OverconfidentScorer(m))
     explorer.train_sentence(sentence)
     first_step_losses = len(explorer.losses)
     assert first_step_losses == 3  # remaining steps error, the explored one does not
 
-    obedient = Trainer(model, scorer_factory=lambda tape, m, s: OverconfidentScorer(m), explore=False)
+    model.config = dataclasses.replace(model.config, explore=False)
+    obedient = Trainer(model, scorer_factory=lambda tape, m, s: OverconfidentScorer(m))
     obedient.train_sentence(sentence)
     assert len(obedient.losses) == 4  # margin violated on every step
 
@@ -379,7 +383,7 @@ def test_train_records_metrics_and_stays_finite():
 
     vocab = build_vocab(corpus)
     model = ParserModel(Config(seed=5, **TINY), vocab)
-    metrics = train(corpus, model, 2, dev=corpus, log_fn=lambda line: None)
+    metrics = train(corpus, model, 2, dev=corpus)
     assert len(metrics) == 2
     for record in metrics:
         assert np.isfinite(record["loss"])

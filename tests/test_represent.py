@@ -68,7 +68,6 @@ def test_unseen_symbols_fall_back_to_unk():
     assert vocab.word_id("unseen") == UNK_ID
     assert vocab.pos_id("ZZZ") == UNK_ID
     assert UNK_ID in vocab.char_ids("ø")
-    assert vocab.rel_id("never") == -1
 
 
 def test_vocab_meta_round_trip():
@@ -86,9 +85,9 @@ PLAIN = "xin 0.5 1.0 -0.25\nchào 0.0 0.25 0.75\n"
 
 def test_parse_pretrained_with_and_without_header():
     table = parse_pretrained(PLAIN)
-    assert table.dim == 3 and len(table) == 2
+    assert table.dim == 3 and len(table.vectors) == 2
     with_header = parse_pretrained("2 3\n" + PLAIN)
-    assert with_header.dim == 3 and len(with_header) == 2
+    assert with_header.dim == 3 and len(with_header.vectors) == 2
     assert np.array_equal(table.lookup("xin"), [0.5, 1.0, -0.25])
 
 
@@ -135,7 +134,7 @@ def test_char_compose_dims_match_pinned_defaults():
     vocab = build_vocab(corpus)
     cfg = Config(use_char=True, word_dim=6, pos_dim=3, vprime_dim=8, sent_hidden=4,
                  sent_layers=1, tree_hidden=4, label_dim=3, mlp_hidden=5)
-    model = ParserModel(cfg, vocab, seed=0)
+    model = ParserModel(cfg, vocab)
     out = char_compose(Tape(), model, "w01")
     # char net pinned at dimension 100, two layers of 100 per direction
     assert cfg.char_dim == 100 and cfg.char_layers == 2 and cfg.char_hidden == 100
@@ -262,7 +261,7 @@ def test_pretrained_block_feeds_word_vector():
              for i, form in enumerate(sorted({t.form for s in corpus for t in s}))]
     table = parse_pretrained("\n".join(lines[:-1]) + "\n")  # leave one word uncovered
     cfg = Config(use_pretrained=True, **TINY)
-    model = ParserModel(cfg, vocab, pretrained=table, seed=0)
+    model = ParserModel(cfg, vocab, pretrained=table)
     out = word_vector(Tape(), model, corpus[0][0])
     assert out.value.shape == (cfg.vprime_dim, 1)
     assert model.config.pretrained_dim == dim

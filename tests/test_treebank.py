@@ -176,10 +176,8 @@ def test_projectivity_matches_descendant_definition(seed, n):
 
 def test_split_train_test():
     corpus = [make_sentence([0]) for _ in range(5)]
-    split = split_train_test(corpus, 2)
-    assert split.train == corpus[:3] and split.test == corpus[3:]
-    assert split_train_test(corpus, 0).test == []
-    assert split_train_test(corpus, 0).train == corpus
+    assert split_train_test(corpus, 2) == (corpus[:3], corpus[3:])
+    assert split_train_test(corpus, 0) == (corpus, [])
     with pytest.raises(ValueError):
         split_train_test(corpus, 6)
 
