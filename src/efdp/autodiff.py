@@ -56,8 +56,9 @@ def constant(value, name: str = "") -> Tensor:
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if t.grad is None:
-        t.grad = np.zeros_like(t.value)
-    t.grad += g
+        t.grad = g.copy()  # g may be another tensor's gradient or a view of one
+    else:
+        t.grad += g
 
 
 def _logistic(v: np.ndarray) -> np.ndarray:
@@ -72,10 +73,15 @@ def _check_finite(op: str, value: np.ndarray) -> None:
 
 
 class Tape:
-    """Ordered record of executed ops; backward() visits them in reverse."""
+    """Ordered record of executed ops; backward() visits them in reverse.
+
+    backward() adds the terms g @ x.T of a matmul's left operand as one product,
+    before that operand's own record runs or, for a leaf, when the pass ends.
+    """
 
     def __init__(self):
         self._records = []
+        self._weight_terms = {}  # id(a) -> (a, [g], [x]) of the matmuls a @ x seen in backward
         self._spent = False
 
     def __len__(self):
@@ -92,9 +98,12 @@ class Tape:
             raise ShapeError(f"matmul: {a.value.shape} @ {b.value.shape}")
         out = Tensor(a.value @ b.value)
         _check_finite("matmul", out.value)
+        terms = self._weight_terms  # not self: a closure holding the tape would make a reference cycle
 
         def backward(g):
-            _accumulate(a, g @ b.value.T)
+            _, gs, xs = terms.setdefault(id(a), (a, [], []))
+            gs.append(g)
+            xs.append(b.value)
             _accumulate(b, a.value.T @ g)
 
         return self._push(out, backward)
@@ -245,9 +254,20 @@ class Tape:
             raise ShapeError(f"loss must be scalar-shaped (1, 1), got {loss.value.shape}")
         self._spent = True
         loss.grad = np.ones((1, 1))
+        terms = self._weight_terms
         for out, backward in reversed(self._records):
+            if id(out) in terms:  # every use of out is behind us: its gradient is complete
+                _add_weight_terms(*terms.pop(id(out)))
             if out.grad is not None:
                 backward(out.grad)
+        for entry in terms.values():
+            _add_weight_terms(*entry)
+        terms.clear()
+
+
+def _add_weight_terms(a: Tensor, gs, xs) -> None:
+    """Adds sum_k gs[k] @ xs[k].T to a's gradient as one matrix product."""
+    _accumulate(a, np.hstack(gs) @ np.hstack(xs).T)
 
 
 class ParameterStore:

@@ -102,6 +102,8 @@ def cmd_train(cfg: Config) -> int:
             corpus, dev = treebank.split_train_test(corpus, cfg.test_size)
         except ValueError as e:
             raise ConfigError(str(e)) from None
+        if not corpus:
+            raise ConfigError(f"test size {cfg.test_size} holds out every training sentence")
     table = _load_table(cfg)
     projective, dropped = treebank.filter_projective(corpus)
     if dropped:

@@ -5,8 +5,10 @@ A saved model is two files: ``<path>`` holds the binary parameter dump and
 to rebuild the network before loading values into it.
 """
 
+import contextlib
 import dataclasses
 import json
+import os
 
 import numpy as np
 
@@ -103,16 +105,29 @@ class ParserModel:
     # ---- persistence ----
 
     def save(self, path: str) -> None:
-        with open(path, "wb") as f:
-            f.write(self.store.to_bytes())
+        """Writes both files beside their targets first, then moves them into place.
+
+        A failure before the moves leaves an earlier pair at ``path`` as it was
+        and no temporary file behind.
+        """
         meta = {
             "meta_version": META_VERSION,
             "arch": {name: getattr(self.config, name) for name in ARCH_FIELDS},
             "vocab": self.vocab.to_meta(),
         }
-        with open(meta_path(path), "w", encoding="utf-8") as f:
-            json.dump(meta, f, ensure_ascii=False, sort_keys=True, indent=0)
-            f.write("\n")
+        tmp_bin, tmp_meta = path + ".tmp", meta_path(path) + ".tmp"
+        try:
+            with open(tmp_bin, "wb") as f:
+                f.write(self.store.to_bytes())
+            with open(tmp_meta, "w", encoding="utf-8") as f:
+                json.dump(meta, f, ensure_ascii=False, sort_keys=True, indent=0)
+                f.write("\n")
+            os.replace(tmp_bin, path)
+            os.replace(tmp_meta, meta_path(path))
+        finally:
+            for tmp in (tmp_bin, tmp_meta):
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(tmp)
 
     @classmethod
     def load(cls, path: str, config: Config = None, pretrained: PretrainedTable = None) -> "ParserModel":

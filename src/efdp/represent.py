@@ -60,6 +60,12 @@ class Vocab:
 
     @classmethod
     def from_meta(cls, meta: dict) -> "Vocab":
+        """Raises ValueError on an empty relation list or a name listed twice."""
+        if not meta["rels"]:
+            raise ValueError("vocabulary lists no relation")
+        for key in ("words", "pos", "chars", "rels"):
+            if len(set(meta[key])) != len(meta[key]):
+                raise ValueError(f"vocabulary {key!r} lists a name twice")
         as_map = lambda names: {name: i for i, name in enumerate(names)}
         return cls(
             words=as_map(meta["words"]),

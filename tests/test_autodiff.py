@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -108,6 +111,54 @@ def test_composite_gradient_matches_finite_differences():
         return t, t.sum_all(t.pointwise_mul(d, d))
 
     check_gradients(build, store)
+
+
+def test_shared_weight_gradient_is_the_sum_of_per_call_products():
+    rng = np.random.default_rng(3)
+    store = ParameterStore()
+    w = store.add("w", rng.uniform(-1, 1, (4, 3)))
+    xs = [constant(rng.uniform(-1, 1, (3, k))) for k in (1, 1, 2, 1, 3, 1)]
+    t = Tape()
+    outs = [t.tanh(t.matmul(w, x)) for x in xs]
+    loss = t.sum_all(outs[0])
+    for out in outs[1:]:
+        loss = t.add(loss, t.sum_all(out))
+    t.backward(loss)
+    expected = sum((1.0 - out.value**2) @ x.value.T for out, x in zip(outs, xs))
+    np.testing.assert_allclose(w.grad, expected, rtol=1e-12)
+
+
+def test_deferred_weight_gradients_match_finite_differences():
+    # ab's gradient comes only from matmuls that use it as left operand, so it
+    # must be complete before ab's own record runs
+    rng = np.random.default_rng(5)
+    store = ParameterStore()
+    a = store.add("a", rng.uniform(-1, 1, (3, 3)))
+    b = store.add("b", rng.uniform(-1, 1, (3, 3)))
+    x = store.add("x", rng.uniform(-1, 1, (3, 2)))
+
+    def build():
+        t = Tape()
+        ab = t.matmul(a, b)
+        y = t.add(t.sum_all(t.tanh(t.matmul(ab, x))), t.sum_all(t.tanh(t.matmul(ab, ab))))
+        return t, t.add(y, t.sum_all(t.tanh(t.matmul(a, a))))
+
+    check_gradients(build, store)
+
+
+def test_a_spent_tape_is_freed_without_the_cycle_collector():
+    store = ParameterStore()
+    cell = LstmCell(store, "cell", 2, 3, np.random.default_rng(0))
+    gc.disable()
+    try:
+        t = Tape()
+        h, _ = cell.step(t, *cell.initial_state(), constant([0.5, -0.5]))
+        t.backward(t.sum_all(h))
+        tape = weakref.ref(t)
+        del t, h
+        assert tape() is None
+    finally:
+        gc.enable()
 
 
 def test_sum_loss_gives_unit_gradients():

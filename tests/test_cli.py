@@ -1,3 +1,4 @@
+import json
 import logging
 import struct
 
@@ -8,7 +9,8 @@ from efdp.autodiff import FORMAT_VERSION, MAGIC
 from efdp.config import Config, parse_config
 from efdp.errors import ConfigError, DataError
 from efdp.model import ParserModel, meta_path
-from efdp.synthetic import grammar_corpus
+from efdp.represent import build_vocab
+from efdp.synthetic import grammar_corpus, toy_corpus
 from efdp.treebank import read_conll, write_conll, write_conll_file
 from helpers import TINY, tiny_model
 
@@ -58,7 +60,7 @@ def test_config_validation():
     Config(test_size=0, beta1=0.0, beta2=0.0).validate()
 
 
-@pytest.mark.parametrize("size", [-3, 13, 999])
+@pytest.mark.parametrize("size", [-3, 12, 13, 999])
 def test_out_of_range_test_size_is_a_config_error(workdir, capsys, size):
     assert run(["train", "--config", workdir / "efdp.cfg", "--test-size", size]) == 1
     assert_one_line_error(capsys)
@@ -312,10 +314,28 @@ def _zero_dim_beside_huge_dims(path):
     )
 
 
+def _edit_vocab(path, key, edit):
+    meta_file = path.parent / meta_path(path.name)
+    meta = json.loads(meta_file.read_text(encoding="utf-8"))
+    meta["vocab"][key] = edit(meta["vocab"][key])
+    meta_file.write_text(json.dumps(meta), encoding="utf-8")
+
+
+def _empty_relations(path):
+    # with one relation, rel_emb and mlp_r have the shapes they have with none
+    corpus = toy_corpus(seed=11, count=6, n_min=3, n_max=6, relations=("dep",), root_relation="dep")
+    ParserModel(Config(seed=4, **TINY), build_vocab(corpus)).save(str(path))
+    _edit_vocab(path, "rels", lambda rels: [])
+
+
+def _duplicate_relations(path):
+    _edit_vocab(path, "rels", lambda rels: rels[:-1] + rels[:1])
+
+
 @pytest.mark.parametrize(
     "damage",
     [_bad_meta_json, _meta_without_arch, _non_utf8_parameter_name, _dims_overflowing_64_bits,
-     _zero_dim_beside_huge_dims, _non_finite_value],
+     _zero_dim_beside_huge_dims, _non_finite_value, _empty_relations, _duplicate_relations],
 )
 def test_malformed_model_files_are_data_errors(tmp_path, capsys, damage):
     model, corpus = tiny_model(seed=4)
@@ -328,6 +348,23 @@ def test_malformed_model_files_are_data_errors(tmp_path, capsys, damage):
     assert run(["parse", "--model", path, "--input", tmp_path / "in.conll",
                 "--output", tmp_path / "out.conll"]) == 2
     assert_one_line_error(capsys)
+
+
+def test_a_failed_save_leaves_the_previous_pair(tmp_path, monkeypatch):
+    path = str(tmp_path / "model.bin")
+    tiny_model(seed=4)[0].save(path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    second = tiny_model(seed=5)[0]
+    assert second.store.to_bytes() != before["model.bin"]
+
+    def failing_dump(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", failing_dump)
+    with pytest.raises(OSError, match="disk full"):
+        second.save(path)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    ParserModel.load(path)
 
 
 def _saved_model(path):
