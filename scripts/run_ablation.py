@@ -16,7 +16,7 @@ import os
 import sys
 
 from efdp.config import Config, load_config
-from efdp.easyfirst import parse
+from efdp.easyfirst import arcs_to_rows, parse
 from efdp.evaluate import ablation_report, format_records, score
 from efdp.model import ParserModel
 from efdp.oracle import train
@@ -68,12 +68,12 @@ def main():
         model.save(os.path.join(args.outdir, f"model_{label.strip('+').replace('+', '_')}.bin"))
         row = {}
         for condition, sentences in conditions.items():
-            predicted = [parse(s, model) for s in sentences]
+            predicted = [arcs_to_rows(parse(s, model), len(s)) for s in sentences]
             row[condition] = score(
                 sentences,
                 predicted,
                 exclude_punct=cfg.exclude_punct,
-                punct_tags=cfg.punct_tag_set(),
+                punct_tags=cfg.punct_tags,
             )
         results[label] = row
 

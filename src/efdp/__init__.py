@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .config import Config
-from .easyfirst import parse
+from .easyfirst import arcs_to_rows, parse
 from .evaluate import score
 from .model import ParserModel
 from .oracle import train
@@ -15,6 +15,7 @@ __all__ = [
     "ParserModel",
     "Sentence",
     "Token",
+    "arcs_to_rows",
     "build_vocab",
     "load_pretrained",
     "parse",

@@ -316,13 +316,6 @@ class ParameterStore:
             p.value -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
         self.zero_grads()
 
-    def snapshot(self) -> dict:
-        return {name: p.value.copy() for name, p in self._params.items()}
-
-    def restore(self, snap: dict) -> None:
-        for name, value in snap.items():
-            self._params[name].value[:] = value
-
     # ---- serialization ----
     # layout: MAGIC, u32 version, u32 entry count, then per entry
     # u32 name length, UTF-8 name, u32 rank, u32 dims, little-endian f64 data

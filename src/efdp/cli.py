@@ -10,7 +10,7 @@ import sys
 
 from . import evaluate, treebank
 from .config import Config, load_config
-from .easyfirst import Arc, arcs_to_rows, parse
+from .easyfirst import arcs_to_rows, parse
 from .errors import ConfigError, DataError
 from .model import ParserModel
 from .oracle import train
@@ -55,7 +55,7 @@ def _build_argparser():
     p_eval.add_argument("gold")
     p_eval.add_argument("predicted")
     p_eval.add_argument("--exclude-punct", action="store_true")
-    p_eval.add_argument("--punct-tags", default=Config.punct_tags, help="comma-separated POS tags")
+    p_eval.add_argument("--punct-tags", default=evaluate.PUNCT_TAGS, help="comma-separated POS tags")
 
     p_trace = sub.add_parser("trace", help="print the action trace for one sentence")
     common(p_trace)
@@ -98,12 +98,9 @@ def cmd_train(cfg: Config) -> int:
     if cfg.test:
         dev = treebank.read_conll(cfg.test)
     elif cfg.test_size:
-        try:
-            corpus, dev = treebank.split_train_test(corpus, cfg.test_size)
-        except ValueError as e:
-            raise ConfigError(str(e)) from None
-        if not corpus:
-            raise ConfigError(f"test size {cfg.test_size} holds out every training sentence")
+        if cfg.test_size >= len(corpus):
+            raise ConfigError(f"test size {cfg.test_size} leaves none of {len(corpus)} sentences to train on")
+        corpus, dev = treebank.split_train_test(corpus, cfg.test_size)
     table = _load_table(cfg)
     projective, dropped = treebank.filter_projective(corpus)
     if dropped:
@@ -123,19 +120,11 @@ def cmd_train(cfg: Config) -> int:
     return 0
 
 
-def _predict_rows(model, sentences):
-    rows = []
-    for sentence in sentences:
-        arcs = parse(sentence, model)
-        rows.append(arcs_to_rows(arcs, len(sentence)))
-    return rows
-
-
 def cmd_parse(cfg: Config, input_path: str, output_path: str) -> int:
     table = _load_table(cfg)
-    model = ParserModel.load(_require(cfg, "model"), cfg, pretrained=table)
+    model = ParserModel.load(_require(cfg, "model"), pretrained=table)
     sentences = treebank.read_conll(input_path, validate=False)
-    text = treebank.write_conll(sentences, _predict_rows(model, sentences))
+    text = treebank.write_conll(sentences, [arcs_to_rows(parse(s, model), len(s)) for s in sentences])
     if output_path == "-":
         sys.stdout.write(text)
     else:
@@ -144,12 +133,14 @@ def cmd_parse(cfg: Config, input_path: str, output_path: str) -> int:
     return 0
 
 
-def cmd_eval(gold_path: str, predicted_path: str, exclude_punct: bool, punct_tags=Config.punct_tags) -> int:
+def cmd_eval(gold_path: str, predicted_path: str, exclude_punct: bool, punct_tags: str) -> int:
     gold = treebank.read_conll(gold_path)
     predicted = treebank.read_conll(predicted_path)
-    rows = [[Arc(t.head, t.index, t.deprel) for t in sentence] for sentence in predicted]
-    tags = Config(punct_tags=punct_tags).punct_tag_set()
-    result = evaluate.score(gold, rows, exclude_punct=exclude_punct, punct_tags=tags)
+    for si, (g, p) in enumerate(zip(gold, predicted)):
+        if [t.form for t in g] != [t.form for t in p]:
+            raise DataError(f"sentence {si + 1}: predicted word forms differ from gold")
+    rows = [[(t.head, t.deprel) for t in sentence] for sentence in predicted]
+    result = evaluate.score(gold, rows, exclude_punct=exclude_punct, punct_tags=punct_tags)
     sys.stdout.write(f"UAS {result.uas:.2f} LAS {result.las:.2f}\n")
     return 0
 
@@ -157,7 +148,7 @@ def cmd_eval(gold_path: str, predicted_path: str, exclude_punct: bool, punct_tag
 def cmd_trace(cfg: Config, input_path: str, index: int, out=None, scorer=None) -> int:
     out = out or sys.stdout
     table = _load_table(cfg)
-    model = ParserModel.load(_require(cfg, "model"), cfg, pretrained=table)
+    model = ParserModel.load(_require(cfg, "model"), pretrained=table)
     sentences = treebank.read_conll(input_path, validate=False)
     if not 0 <= index < len(sentences):
         raise DataError(f"sentence index {index} out of range ({len(sentences)} sentences)")

@@ -9,6 +9,10 @@ from typing import Optional
 from .errors import ConfigError, read_text
 from .evaluate import PUNCT_TAGS
 
+# model dimensions, each a positive integer
+DIMS = ("word_dim", "pos_dim", "vprime_dim", "sent_hidden", "sent_layers", "char_dim",
+        "char_hidden", "char_layers", "tree_hidden", "label_dim", "mlp_hidden")
+
 
 @dataclass
 class Config:
@@ -49,18 +53,16 @@ class Config:
     test_size: Optional[int] = None  # hold out the last N sentences of train
     # evaluation
     exclude_punct: bool = False
-    punct_tags: str = ",".join(sorted(PUNCT_TAGS))  # comma-separated
+    punct_tags: str = PUNCT_TAGS  # comma-separated
 
     def validate(self) -> None:
-        dims = (
-            "word_dim pos_dim vprime_dim sent_hidden sent_layers char_dim "
-            "char_hidden char_layers tree_hidden label_dim mlp_hidden"
-        ).split()
-        for name in dims:
+        for name in DIMS:
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if self.error_batch < 1:
             raise ConfigError(f"error_batch must be >= 1, got {self.error_batch}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.test_size is not None and self.test_size < 0:
@@ -73,9 +75,6 @@ class Config:
             value = getattr(self, name)
             if not 0.0 < value < math.inf:  # also false for nan
                 raise ConfigError(f"{name} must be finite and positive, got {value}")
-
-    def punct_tag_set(self) -> frozenset:
-        return frozenset(t for t in self.punct_tags.split(",") if t)
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(Config)}

@@ -29,6 +29,7 @@ LEFT, RIGHT = 0, 1
 DIRECTIONS = ("LEFT", "RIGHT")
 WINDOW_BEFORE = 2  # pending slots i-2 .. i+3 feed the scorers
 WINDOW_AFTER = 3
+WINDOW_SLOTS = WINDOW_BEFORE + 1 + WINDOW_AFTER
 
 
 @dataclass(frozen=True)
@@ -114,10 +115,9 @@ class ActionScorer:
     never outlives its tape.
     """
 
-    def __init__(self, tape: Tape, model, cache: bool = True):
+    def __init__(self, tape: Tape, model):
         self.tape = tape
         self.model = model
-        self.use_cache = cache
         self._cache = {}
 
     def outputs(self, pending, position):
@@ -127,13 +127,11 @@ class ActionScorer:
             model.pad_left if idx < 0 else model.pad_right if idx >= n else pending[idx].enc
             for idx in range(position - 1 - WINDOW_BEFORE, position + WINDOW_AFTER)
         )
-        hit = self._cache.get(slots) if self.use_cache else None
+        hit = self._cache.get(slots)
         if hit is not None:
             return hit
         x = self.tape.concat(*slots)
-        out = (model.mlp_u.apply(self.tape, x), model.mlp_r.apply(self.tape, x))
-        if self.use_cache:
-            self._cache[slots] = out
+        out = self._cache[slots] = (model.mlp_u.apply(self.tape, x), model.mlp_r.apply(self.tape, x))
         return out
 
     def scores(self, pending) -> np.ndarray:

@@ -16,40 +16,34 @@ class EvalResult:
     per_relation: dict = field(default_factory=dict)
 
 
-PUNCT_TAGS = frozenset({"PUNCT", "CH"})  # POS tags excluded as punctuation by default
+PUNCT_TAGS = "CH,PUNCT"  # comma-separated POS tags excluded as punctuation by default
 
 
-def score(gold, predicted, exclude_punct: bool = False, punct_tags=PUNCT_TAGS) -> EvalResult:
+def score(gold, predicted, exclude_punct: bool = False, punct_tags: str = PUNCT_TAGS) -> EvalResult:
     """Unlabeled/labeled attachment scores over aligned sentences.
 
-    ``predicted`` holds one arc list per gold sentence (each arc a
-    (head, dep, rel) record covering every token exactly once). Punctuation
-    is excluded by gold POS tag only when the flag is set.
+    ``predicted`` holds one list of per-token (head, deprel) rows per gold
+    sentence. Punctuation (gold POS tags in the comma-separated
+    ``punct_tags``) is excluded only when the flag is set.
     """
     if len(gold) != len(predicted):
-        raise DataError(
-            f"gold has {len(gold)} sentences, predictions have {len(predicted)}"
-        )
+        raise DataError(f"gold has {len(gold)} sentences, predictions have {len(predicted)}")
+    excluded = set(punct_tags.split(",")) if exclude_punct else ()
     total = heads = labeled = 0
     per_relation = {}
-    for si, (sentence, arcs) in enumerate(zip(gold, predicted)):
-        rows = [None] * len(sentence)
-        for arc in arcs:
-            if not 1 <= arc.dep <= len(sentence) or rows[arc.dep - 1] is not None:
-                raise DataError(f"sentence {si + 1}: predictions misaligned with gold tokens")
-            rows[arc.dep - 1] = arc
-        if any(r is None for r in rows):
+    for si, (sentence, rows) in enumerate(zip(gold, predicted)):
+        if len(rows) != len(sentence):
             raise DataError(f"sentence {si + 1}: predictions misaligned with gold tokens")
-        for token, arc in zip(sentence, rows):
-            if exclude_punct and token.pos in punct_tags:
+        for token, (head, rel) in zip(sentence, rows):
+            if token.pos in excluded:
                 continue
             total += 1
             stats = per_relation.setdefault(token.deprel, [0, 0, 0])
             stats[0] += 1
-            if arc.head == token.head:
+            if head == token.head:
                 heads += 1
                 stats[1] += 1
-                if arc.rel == token.deprel:
+                if rel == token.deprel:
                     labeled += 1
                     stats[2] += 1
     uas = 100.0 * heads / total if total else 0.0

@@ -13,7 +13,8 @@ import os
 import numpy as np
 
 from .autodiff import ParameterStore
-from .config import Config
+from .config import DIMS, Config
+from .easyfirst import WINDOW_SLOTS
 from .errors import ConfigError, DataError
 from .layers import BiLstm, LstmCell, Mlp, embedding_init, glorot
 from .represent import PretrainedTable, Vocab
@@ -21,22 +22,7 @@ from .represent import PretrainedTable, Vocab
 META_VERSION = 1
 
 # architecture fields that must match between training and loading
-ARCH_FIELDS = (
-    "use_char",
-    "use_pretrained",
-    "word_dim",
-    "pos_dim",
-    "vprime_dim",
-    "sent_hidden",
-    "sent_layers",
-    "char_dim",
-    "char_hidden",
-    "char_layers",
-    "tree_hidden",
-    "label_dim",
-    "mlp_hidden",
-    "pretrained_dim",
-)
+ARCH_FIELDS = ("use_char", "use_pretrained", *DIMS, "pretrained_dim")
 
 
 class ParserModel:
@@ -69,7 +55,7 @@ class ParserModel:
             self.char_emb = store.add("char_emb", embedding_init(rng, len(vocab.chars), config.char_dim))
         else:
             self.char_emb = None
-        self.rel_emb = store.add("rel_emb", embedding_init(rng, max(self.n_relations, 1), config.label_dim))
+        self.rel_emb = store.add("rel_emb", embedding_init(rng, self.n_relations, config.label_dim))
         # label slot of the tree encoder before any child is attached
         self.null_label = store.add("null_label", embedding_init(rng, config.label_dim, 1))
         # window slots falling outside the pending list
@@ -98,9 +84,9 @@ class ParserModel:
         self.w_e = store.add("w_e", glorot(rng, np.empty((self.v_dim, 2 * config.tree_hidden + config.label_dim))))
         self.b_e = store.add("b_e", np.zeros((self.v_dim, 1)))
 
-        window_width = 6 * self.v_dim
+        window_width = WINDOW_SLOTS * self.v_dim
         self.mlp_u = Mlp(store, "mlp_u", (window_width, config.mlp_hidden, 2), rng)
-        self.mlp_r = Mlp(store, "mlp_r", (window_width, config.mlp_hidden, 2 * max(self.n_relations, 1)), rng)
+        self.mlp_r = Mlp(store, "mlp_r", (window_width, config.mlp_hidden, 2 * self.n_relations), rng)
 
     # ---- persistence ----
 
@@ -130,7 +116,7 @@ class ParserModel:
                     os.remove(tmp)
 
     @classmethod
-    def load(cls, path: str, config: Config = None, pretrained: PretrainedTable = None) -> "ParserModel":
+    def load(cls, path: str, pretrained: PretrainedTable = None) -> "ParserModel":
         try:
             with open(meta_path(path), encoding="utf-8") as f:
                 meta = json.load(f)  # JSONDecodeError and UnicodeDecodeError are ValueErrors
@@ -140,7 +126,7 @@ class ParserModel:
         if version != META_VERSION:
             raise DataError(f"unsupported model metadata version {version}")
         try:
-            cfg = dataclasses.replace(config if config is not None else Config(), **meta["arch"])
+            cfg = Config(**meta["arch"])
             if cfg.use_pretrained and pretrained is None:
                 raise ConfigError(
                     "model was trained with pretrained embeddings; pass the embedding file"

@@ -23,7 +23,8 @@ import time
 import numpy as np
 
 from .autodiff import Tape, constant
-from .easyfirst import ActionScorer, apply_action, enumerate_actions, head_and_dep, init_pending, parse
+from .easyfirst import (ActionScorer, apply_action, arcs_to_rows, enumerate_actions, head_and_dep,
+                        init_pending, parse)
 from .evaluate import score as eval_score
 from .represent import encode_sentence
 
@@ -120,17 +121,15 @@ class Trainer:
         self.tape = Tape()
         self.losses = []  # margin-violation terms of the current error window
         self.updates = 0
-        self.epoch_loss = 0.0
 
     def _update(self) -> None:
-        if self.losses:
-            total = self.losses[0]
-            for term in self.losses[1:]:
-                total = self.tape.add(total, term)
-            self.tape.backward(total)
-            cfg = self.model.config
-            self.model.store.adam_step(cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
-            self.updates += 1
+        total = self.losses[0]
+        for term in self.losses[1:]:
+            total = self.tape.add(total, term)
+        self.tape.backward(total)
+        cfg = self.model.config
+        self.model.store.adam_step(cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
+        self.updates += 1
         self.tape = Tape()
         self.losses = []
 
@@ -145,7 +144,7 @@ class Trainer:
             return 0.0
         model = self.model
         tape = self.tape
-        vectors = encode_sentence(tape, model, sentence, train=True, rng=self.rng)
+        vectors = encode_sentence(tape, model, sentence, self.rng)
         pending = init_pending(tape, model, vectors, sentence)
         scorer = self.scorer_factory(tape, model, sentence)
         state = OracleState(sentence, model.vocab.rels)
@@ -174,7 +173,6 @@ class Trainer:
                 self._update()
                 tape = self.tape
                 scorer = self.scorer_factory(tape, model, sentence)
-        self.epoch_loss += sentence_loss
         return sentence_loss
 
 
@@ -191,30 +189,28 @@ def train(corpus, model, epochs, dev=None, early_stop=None):
     order_rng = np.random.default_rng(model.config.seed + 1)
     metrics = []
     best = None
-    best_snapshot = None
+    best_params = None
     for epoch in range(1, epochs + 1):
         started = time.time()
-        trainer.epoch_loss = 0.0
         updates_before = trainer.updates
         order = order_rng.permutation(len(corpus))
-        for i in order:
-            trainer.train_sentence(corpus[int(i)])
+        loss = sum(trainer.train_sentence(corpus[int(i)]) for i in order)
         trainer.flush()
         record = {
             "epoch": epoch,
             "sentences": len(corpus),
-            "loss": trainer.epoch_loss,
+            "loss": loss,
             "updates": trainer.updates - updates_before,
             "seconds": time.time() - started,
         }
         if dev:
-            predicted = [parse(s, model) for s in dev]
+            predicted = [arcs_to_rows(parse(s, model), len(s)) for s in dev]
             result = eval_score(dev, predicted)
             record["dev_uas"] = result.uas
             record["dev_las"] = result.las
             if best is None or result.uas > best:
                 best = result.uas
-                best_snapshot = model.store.snapshot()
+                best_params = model.store.to_bytes()
         metrics.append(record)
         log.info(
             "epoch {epoch} sentences {sentences} loss {loss:.4f} updates {updates}".format(**record)
@@ -228,6 +224,6 @@ def train(corpus, model, epochs, dev=None, early_stop=None):
             target_uas, target_las = early_stop
             if record["dev_uas"] >= target_uas and record["dev_las"] >= target_las:
                 break
-    if best_snapshot is not None:
-        model.store.restore(best_snapshot)
+    if best_params is not None:
+        model.store.load_bytes(best_params)
     return metrics

@@ -60,11 +60,17 @@ class Vocab:
 
     @classmethod
     def from_meta(cls, meta: dict) -> "Vocab":
-        """Raises ValueError on an empty relation list or a name listed twice."""
+        """Raises ValueError unless each list holds distinct strings, ``rels`` is
+        not empty and ``root_label`` is a string."""
         if not meta["rels"]:
             raise ValueError("vocabulary lists no relation")
+        if not isinstance(meta["root_label"], str):
+            raise ValueError("vocabulary root_label is not a string")
         for key in ("words", "pos", "chars", "rels"):
-            if len(set(meta[key])) != len(meta[key]):
+            names = meta[key]
+            if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+                raise ValueError(f"vocabulary {key!r} is not a list of strings")
+            if len(set(names)) != len(names):
                 raise ValueError(f"vocabulary {key!r} lists a name twice")
         as_map = lambda names: {name: i for i, name in enumerate(names)}
         return cls(
@@ -188,17 +194,17 @@ def char_compose(tape, model, form: str) -> Tensor:
     return tape.concat(f_final, b_final)
 
 
-def word_vector(tape, model, token, train: bool = False, rng=None) -> Tensor:
+def word_vector(tape, model, token, rng=None) -> Tensor:
     """Pre-context vector for one token.
 
     Active blocks are concatenated in fixed order (word, POS, characters,
     pretrained) and mapped to the configured dimension with a tanh layer.
-    During training, rare words may be dropped to the unknown id so the
-    unknown embedding gets trained.
+    In training, which passes ``rng``, rare words may be dropped to the
+    unknown id so the unknown embedding gets trained.
     """
     cfg = model.config
     wid = model.vocab.word_id(token.form)
-    if train and cfg.word_dropout and rng is not None and wid != UNK_ID:
+    if cfg.word_dropout and rng is not None and wid != UNK_ID:
         freq = model.vocab.word_freq.get(token.form, 0)
         if rng.random() < cfg.dropout_alpha / (cfg.dropout_alpha + freq):
             wid = UNK_ID
@@ -210,12 +216,15 @@ def word_vector(tape, model, token, train: bool = False, rng=None) -> Tensor:
         parts.append(char_compose(tape, model, token.form))
     if cfg.use_pretrained:
         parts.append(Tensor(model.pretrained.lookup(token.form)))
-    x = tape.concat(*parts) if len(parts) > 1 else parts[0]
+    x = tape.concat(*parts)
     return tape.tanh(tape.add(tape.matmul(model.w_v, x), model.b_v))
 
 
-def encode_sentence(tape, model, sentence, train: bool = False, rng=None) -> list:
-    """Contextual vectors for every token: concat of forward/backward states."""
-    primes = [word_vector(tape, model, t, train=train, rng=rng) for t in sentence]
+def encode_sentence(tape, model, sentence, rng=None) -> list:
+    """Contextual vectors for every token: concat of forward/backward states.
+
+    ``rng`` is given only in training, where it draws the word dropout.
+    """
+    primes = [word_vector(tape, model, t, rng) for t in sentence]
     contextual, _, _ = model.sent_net.run(tape, primes)
     return contextual

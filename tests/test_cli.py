@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import struct
@@ -11,7 +12,7 @@ from efdp.errors import ConfigError, DataError
 from efdp.model import ParserModel, meta_path
 from efdp.represent import build_vocab
 from efdp.synthetic import grammar_corpus, toy_corpus
-from efdp.treebank import read_conll, write_conll, write_conll_file
+from efdp.treebank import Sentence, read_conll, write_conll, write_conll_file
 from helpers import TINY, tiny_model
 
 TINY_KEYS = "\n".join(f"{k} = {v}" for k, v in TINY.items())
@@ -53,11 +54,11 @@ def test_config_validation():
         Config(error_batch=0).validate()
     for bad in (dict(test_size=-3), dict(beta1=1.0), dict(beta1=-0.1), dict(beta2=1.0),
                 dict(lr=float("nan")), dict(lr=float("inf")), dict(adam_eps=0.0),
-                dict(dropout_alpha=-1.0)):
+                dict(dropout_alpha=-1.0), dict(seed=-1)):
         (name,) = bad
         with pytest.raises(ConfigError, match=name):
             Config(**bad).validate()
-    Config(test_size=0, beta1=0.0, beta2=0.0).validate()
+    Config(test_size=0, beta1=0.0, beta2=0.0, seed=0).validate()
 
 
 @pytest.mark.parametrize("size", [-3, 12, 13, 999])
@@ -98,6 +99,18 @@ def test_eval_formats_two_decimals(workdir, capsys):
     write_conll_file(str(pred), corpus)
     assert run(["eval", gold, pred]) == 0
     assert capsys.readouterr().out.strip() == "UAS 100.00 LAS 100.00"
+
+
+def test_eval_refuses_predictions_for_other_word_forms(workdir, capsys):
+    gold = workdir / "gold.conll"
+    pred = workdir / "pred.conll"
+    corpus = grammar_corpus(seed=9, count=3)
+    write_conll_file(str(gold), corpus)
+    renamed = [Sentence(tuple(dataclasses.replace(t, form=t.form + "x") for t in s)) for s in corpus]
+    write_conll_file(str(pred), corpus[:1] + renamed[1:])
+    assert run(["eval", gold, pred]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: sentence 2: ") and err.count("\n") == 1
 
 
 def test_parse_never_reads_gold_annotations(workdir):
@@ -218,7 +231,7 @@ def test_reloaded_model_reproduces_dev_scores(tmp_path):
     from efdp.evaluate import score
     from efdp.model import ParserModel
     from efdp.oracle import train
-    from efdp.easyfirst import parse
+    from efdp.easyfirst import arcs_to_rows, parse
     from efdp.represent import build_vocab
 
     corpus = grammar_corpus(seed=14, count=8)
@@ -227,7 +240,7 @@ def test_reloaded_model_reproduces_dev_scores(tmp_path):
     metrics = train(corpus, model, 2, dev=corpus)
     model.save(str(tmp_path / "m.bin"))
     reloaded = ParserModel.load(str(tmp_path / "m.bin"))
-    result = score(corpus, [parse(s, reloaded) for s in corpus])
+    result = score(corpus, [arcs_to_rows(parse(s, reloaded), len(s)) for s in corpus])
     # training retains the epoch with the best dev attachment score
     best = max(metrics, key=lambda r: r["dev_uas"])
     assert result.uas == pytest.approx(best["dev_uas"])
@@ -332,10 +345,20 @@ def _duplicate_relations(path):
     _edit_vocab(path, "rels", lambda rels: rels[:-1] + rels[:1])
 
 
+def _relations_as_string(path):
+    # as many letters as the model has relations, so every shape still fits
+    _edit_vocab(path, "rels", lambda rels: "abcdefghijklmnopqrstuvwxyz"[: len(rels)])
+
+
+def _root_label_not_a_string(path):
+    _edit_vocab(path, "root_label", lambda label: 5)
+
+
 @pytest.mark.parametrize(
     "damage",
     [_bad_meta_json, _meta_without_arch, _non_utf8_parameter_name, _dims_overflowing_64_bits,
-     _zero_dim_beside_huge_dims, _non_finite_value, _empty_relations, _duplicate_relations],
+     _zero_dim_beside_huge_dims, _non_finite_value, _empty_relations, _duplicate_relations,
+     _relations_as_string, _root_label_not_a_string],
 )
 def test_malformed_model_files_are_data_errors(tmp_path, capsys, damage):
     model, corpus = tiny_model(seed=4)

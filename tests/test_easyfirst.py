@@ -7,6 +7,7 @@ from efdp.easyfirst import (
     RIGHT,
     Action,
     ActionScorer,
+    Arc,
     apply_action,
     arcs_to_rows,
     enumerate_actions,
@@ -162,6 +163,21 @@ def test_full_scripted_parse_reproduces_figure_one():
     assert [r for _, r in rows] == FIG_RELS
 
 
+@pytest.mark.parametrize(
+    "arcs",
+    [
+        [Arc(2, 1, "a"), Arc(0, 2, "root"), Arc(2, 3, "a"), Arc(2, 1, "b")],  # dependent 1 twice
+        [Arc(0, 2, "root"), Arc(2, 3, "a")],  # token 1 missing
+        [Arc(2, 1, "a"), Arc(0, 2, "root"), Arc(2, 4, "a")],  # dependent outside 1..3
+        [Arc(2, 1, "a"), Arc(0, 2, "root"), Arc(2, 0, "a")],  # dependent 0 is the root
+    ],
+    ids=["duplicate", "missing", "beyond-n", "zero"],
+)
+def test_arcs_to_rows_rejects_bad_coverage(arcs):
+    with pytest.raises(ValueError, match="exactly once"):
+        arcs_to_rows(arcs, 3)
+
+
 def test_apply_action_rejects_bad_position():
     model, sentence = fig_model()
     tape = Tape()
@@ -264,20 +280,22 @@ def test_incremental_rescoring_matches_exhaustive():
     for _ in range(5):
         sentence = random_sentence(rng, n_min=4, n_max=10)
 
-        def run(cache):
+        def run(fresh_scorer_per_step):
             tape = Tape()
             vectors = encode_sentence(tape, model, sentence)
             pending = init_pending(tape, model, vectors, sentence)
-            scorer = ActionScorer(tape, model, cache=cache)
+            scorer = ActionScorer(tape, model)
             actions = enumerate_actions(len(pending), model.n_relations)
             log = []
             while len(pending) > 1:
+                if fresh_scorer_per_step:  # an empty cache scores every window
+                    scorer = ActionScorer(tape, model)
                 scores = scorer.scores(pending)
                 log.append(scores.tolist())
                 apply_action(tape, model, pending, actions[int(np.argmax(scores))], [])
             return log
 
-        assert run(True) == run(False)
+        assert run(False) == run(True)
 
 
 def test_scorer_output_sizes():

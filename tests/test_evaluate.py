@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from efdp.easyfirst import Arc
 from efdp.errors import DataError
 from efdp.evaluate import EvalResult, ablation_records, ablation_report, format_records, score
 from efdp.synthetic import random_sentence, toy_corpus
@@ -27,7 +26,7 @@ def sentence_from(heads, rels, pos=None):
 
 
 def arcs_from(heads, rels):
-    return [Arc(h, i + 1, r) for i, (h, r) in enumerate(zip(heads, rels))]
+    return list(zip(heads, rels))
 
 
 def test_perfect_prediction_scores_100():
@@ -94,13 +93,13 @@ def test_score_agrees_with_token_loop():
         )
     result = score(gold, predicted)
     total = heads = labeled = 0
-    for s, arcs in zip(gold, predicted):
-        by_dep = {a.dep: a for a in arcs}
+    for s, rows in zip(gold, predicted):
         for t in s:
+            head, rel = rows[t.index - 1]
             total += 1
-            if by_dep[t.index].head == t.head:
+            if head == t.head:
                 heads += 1
-                if by_dep[t.index].rel == t.deprel:
+                if rel == t.deprel:
                     labeled += 1
     assert result.uas == pytest.approx(100.0 * heads / total)
     assert result.las == pytest.approx(100.0 * labeled / total)
@@ -123,7 +122,7 @@ def test_misalignment_is_an_error():
     with pytest.raises(DataError, match="misaligned"):
         score(gold, [arcs_from([0, 1], ["root", "x"])])
     with pytest.raises(DataError, match="misaligned"):
-        score([sentence_from([2, 0], ["a", "root"])], [[Arc(0, 1, "a"), Arc(0, 1, "a")]])
+        score([sentence_from([2, 0], ["a", "root"])], [arcs_from([0], ["a"])])
 
 
 def test_empty_map_renders_header_only():

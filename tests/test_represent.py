@@ -208,7 +208,7 @@ def test_word_dropout_replaces_rare_words():
     model, corpus = tiny_model(seed=2, word_dropout=True, dropout_alpha=1e9)
     token = corpus[0][0]
     t = Tape()
-    dropped = word_vector(t, model, token, train=True, rng=np.random.default_rng(0))
+    dropped = word_vector(t, model, token, rng=np.random.default_rng(0))
     unk_token = Token(1, "<absent-form>", token.pos, 0, "root")
     as_unk = word_vector(t, model, unk_token)
     assert np.array_equal(dropped.value, as_unk.value)
