@@ -3,8 +3,9 @@
 The computation graph is dynamic: a fresh Tape is built per sentence (or per
 update window), ops append (output, backward-closure) records in execution
 order, and backward() replays them once in reverse. Everything is float64;
-vectors are column-shaped (n, 1). Tensors produced on an older tape may be
-consumed by a newer one, in which case they act as constants.
+vectors are column-shaped (n, 1), and a batch of k vectors is one (n, k)
+tensor. Tensors produced on an older tape may be consumed by a newer one,
+in which case they act as constants.
 """
 
 import math
@@ -62,9 +63,11 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
 
 
 def _logistic(v: np.ndarray) -> np.ndarray:
-    # numerically stable split avoids overflow in exp for large |v|
-    expnv = np.exp(-np.abs(v))
-    return np.where(v >= 0, 1.0 / (1.0 + expnv), expnv / (1.0 + expnv))
+    # 1/(1+e) for v >= 0 and e/(1+e) below, e = exp(-|v|): exp never overflows
+    e = np.abs(v)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    return np.where(v >= 0, 1.0, e) / (1.0 + e)
 
 
 def _check_finite(op: str, value: np.ndarray) -> None:
@@ -109,14 +112,16 @@ class Tape:
         return self._push(out, backward)
 
     def add(self, a: Tensor, b: Tensor) -> Tensor:
-        if a.value.shape != b.value.shape:
+        """a + b; a one-column b is a bias added to each of a's columns."""
+        if a.value.shape != b.value.shape and b.value.shape != (a.value.shape[0], 1):
             raise ShapeError(f"add: {a.value.shape} vs {b.value.shape}")
         out = Tensor(a.value + b.value)
         _check_finite("add", out.value)
+        broadcast = a.value.shape != b.value.shape
 
         def backward(g):
             _accumulate(a, g)
-            _accumulate(b, g)
+            _accumulate(b, g.sum(axis=1, keepdims=True) if broadcast else g)
 
         return self._push(out, backward)
 
@@ -163,11 +168,13 @@ class Tape:
         return self._push(out, backward)
 
     def concat(self, *xs: Tensor) -> Tensor:
+        """Stacks row blocks that have the same number of columns."""
         if not xs:
             raise ShapeError("concat of nothing")
+        cols = xs[0].value.shape[1]
         for x in xs:
-            if x.value.shape[1] != 1:
-                raise ShapeError(f"concat expects column vectors, got {x.value.shape}")
+            if x.value.shape[1] != cols:
+                raise ShapeError(f"concat of {cols}-column blocks got shape {x.value.shape}")
         out = Tensor(np.concatenate([x.value for x in xs], axis=0))
         _check_finite("concat", out.value)
         sizes = [x.value.shape[0] for x in xs]
@@ -180,16 +187,62 @@ class Tape:
 
         return self._push(out, backward)
 
-    def pick_row(self, x: Tensor, i: int) -> Tensor:
-        if not 0 <= i < x.value.shape[0]:
-            raise ShapeError(f"pick_row: row {i} of shape {x.value.shape}")
-        out = Tensor(x.value[i, :].reshape(-1, 1).copy())
+    def pick_row(self, x: Tensor, rows) -> Tensor:
+        """Row ``rows`` of x as a column, or for a sequence of row ids one column each."""
+        ids = np.atleast_1d(np.asarray(rows, dtype=np.intp))
+        if ids.ndim != 1 or not ids.size or not ((0 <= ids) & (ids < x.value.shape[0])).all():
+            raise ShapeError(f"pick_row: rows {rows} of shape {x.value.shape}")
+        out = Tensor(x.value[ids].T.copy())
         _check_finite("pick_row", out.value)
 
         def backward(g):
             if x.grad is None:
                 x.grad = np.zeros_like(x.value)
-            x.grad[i, :] += g[:, 0]
+            np.add.at(x.grad, ids, g.T)
+
+        return self._push(out, backward)
+
+    def columns(self, x: Tensor, cols) -> Tensor:
+        """x[:, cols] for a slice or a sequence of column ids, which may repeat.
+
+        No finite check: it copies values it was given.
+        """
+        is_slice = isinstance(cols, slice)
+        if not is_slice:
+            cols = np.asarray(cols, dtype=np.intp)
+            if cols.ndim != 1 or not ((0 <= cols) & (cols < x.value.shape[1])).all():
+                raise ShapeError(f"columns: {cols} of shape {x.value.shape}")
+        out = Tensor(x.value[:, cols])
+        if not out.value.shape[1]:
+            raise ShapeError(f"columns: {cols} of shape {x.value.shape} selects none")
+
+        def backward(g):
+            if x.grad is None:
+                x.grad = np.zeros_like(x.value)
+            if is_slice:
+                x.grad[:, cols] += g
+            else:
+                np.add.at(x.grad.T, cols, g.T)  # a repeated column sums its gradients
+
+        return self._push(out, backward)
+
+    def join_columns(self, *xs: Tensor) -> Tensor:
+        """Joins column blocks that have the same number of rows, left to right.
+
+        No finite check: it copies values it was given.
+        """
+        if not xs:
+            raise ShapeError("join_columns of nothing")
+        rows = xs[0].value.shape[0]
+        for x in xs:
+            if x.value.shape[0] != rows:
+                raise ShapeError(f"join_columns of {rows}-row blocks got shape {x.value.shape}")
+        out = Tensor(np.concatenate([x.value for x in xs], axis=1))
+        bounds = np.cumsum([0] + [x.value.shape[1] for x in xs])
+
+        def backward(g):
+            for x, lo, hi in zip(xs, bounds, bounds[1:]):
+                _accumulate(x, g[:, lo:hi])
 
         return self._push(out, backward)
 
@@ -214,12 +267,13 @@ class Tape:
     def lstm_gates(self, z: Tensor, c_prev: Tensor):
         """(h, c) of one LSTM step from pre-activations z stacked [i; f; o; g].
 
+        Each of the k columns of z (4H, k) and c_prev (H, k) is one cell.
         c = f*c_prev + i*g and h = o*tanh(c), with logistic i, f, o and tanh g.
         No finite check: finite z and c_prev give |c| <= |c_prev| + 1 and
         |h| <= 1, and the ops that built z check it.
         """
-        n = z.value.shape[0] // 4
-        if z.value.shape != (4 * n, 1) or c_prev.value.shape != (n, 1):
+        n, k = c_prev.value.shape
+        if z.value.shape != (4 * n, k):
             raise ShapeError(f"lstm_gates: {z.value.shape} for cell state {c_prev.value.shape}")
         act = np.empty_like(z.value)
         act[: 3 * n] = _logistic(z.value[: 3 * n])

@@ -49,57 +49,74 @@ class Arc:
 class PendingItem:
     """One partial structure: its head word plus both child-LSTM states."""
 
-    __slots__ = ("head_index", "form", "left_state", "right_state", "last_rel", "enc")
+    __slots__ = ("head_index", "form", "left_state", "right_state", "enc")
 
     def __init__(self, head_index, form, left_state, right_state, enc):
         self.head_index = head_index
         self.form = form
         self.left_state = left_state
         self.right_state = right_state
-        self.last_rel = None  # relation id of the most recent attachment
         self.enc = enc
 
 
-def encode_node(tape, model, item: PendingItem):
-    """Recompute a structure encoding from the item's current LSTM states."""
-    if item.last_rel is None:
-        label = model.null_label
-    else:
-        label = tape.pick_row(model.rel_emb, item.last_rel)
-    body = tape.concat(item.left_state[0], item.right_state[0], label)
+def encode_node(tape, model, left_h, right_h, label):
+    """Structure encodings from child-LSTM states and last-relation labels, one column each."""
+    body = tape.concat(left_h, right_h, label)
     return tape.tanh(tape.add(tape.matmul(model.w_e, body), model.b_e))
 
 
 def init_pending(tape, model, word_vectors, sentence: Sentence) -> list:
-    """One leaf item per word; both child LSTMs are seeded with its vector."""
-    if not word_vectors:
+    """One leaf item per word; both child LSTMs are seeded with its vector.
+
+    ``word_vectors`` holds one column per word. The n leaves run as n columns
+    of one step per child LSTM and one encoding, split per item at the end.
+    """
+    n = len(sentence)
+    if not n:
         raise ValueError("cannot initialize pending for an empty sentence")
+    if word_vectors.value.shape[1] != n:
+        raise ValueError(f"{word_vectors.value.shape[1]} word vectors for {n} words")
+    nulls = tape.columns(model.null_label, [0] * n)
+    seeds = tape.concat(word_vectors, nulls)
+    left = model.tree_left.step(tape, *model.tree_left.initial_state(n), seeds)
+    right = model.tree_right.step(tape, *model.tree_right.initial_state(n), seeds)
+    enc = encode_node(tape, model, left[0], right[0], nulls)
     pending = []
-    for pos, (v, token) in enumerate(zip(word_vectors, sentence), start=1):
-        seed = tape.concat(v, model.null_label)
-        left = model.tree_left.step(tape, *model.tree_left.initial_state(), seed)
-        right = model.tree_right.step(tape, *model.tree_right.initial_state(), seed)
-        item = PendingItem(pos, token.form, left, right, None)
-        item.enc = encode_node(tape, model, item)
-        pending.append(item)
+    for k, token in enumerate(sentence):
+        col = slice(k, k + 1)
+        pending.append(PendingItem(
+            k + 1,
+            token.form,
+            tuple(tape.columns(s, col) for s in left),
+            tuple(tape.columns(s, col) for s in right),
+            tape.columns(enc, col),
+        ))
     return pending
 
 
-def enumerate_actions(pending_size: int, n_relations: int) -> list:
+_ACTIONS = {}  # n_relations -> the actions of the longest pending list seen
+
+
+def enumerate_actions(pending_size: int, n_relations: int) -> tuple:
     """All 2R(n-1) candidate actions in canonical order (position, direction, relation).
 
     Entry k is the action that ``ActionScorer.scores`` scores at index k.
-    The order is position-major, so the list for a shorter pending list is a
-    prefix of the list for a longer one.
+    The order is position-major, so the actions for a shorter pending list
+    are a prefix of those for a longer one: each shape gets a prefix of one
+    shared tuple per relation count, built again only for a longer list.
     """
     if pending_size < 2:
         raise ValueError(f"no actions for a pending list of size {pending_size}")
-    return [
-        Action(i, d, r)
-        for i in range(1, pending_size)
-        for d in (LEFT, RIGHT)
-        for r in range(n_relations)
-    ]
+    count = 2 * n_relations * (pending_size - 1)
+    known = _ACTIONS.get(n_relations, ())
+    if len(known) < count:
+        known = _ACTIONS[n_relations] = tuple(
+            Action(i, d, r)
+            for i in range(1, pending_size)
+            for d in (LEFT, RIGHT)
+            for r in range(n_relations)
+        )
+    return known[:count]
 
 
 class ActionScorer:
@@ -165,13 +182,13 @@ def apply_action(tape, model, pending, action: Action, arcs: list) -> None:
         raise ValueError(f"action position {action.position} invalid for {len(pending)} pending items")
     head, dep = head_and_dep(pending, action)
     arcs.append(Arc(head.head_index, dep.head_index, model.rel_names[action.relation]))
-    child = tape.concat(dep.enc, tape.pick_row(model.rel_emb, action.relation))
+    label = tape.pick_row(model.rel_emb, action.relation)
+    child = tape.concat(dep.enc, label)
     if action.direction == LEFT:
         head.left_state = model.tree_left.step(tape, *head.left_state, child)
     else:
         head.right_state = model.tree_right.step(tape, *head.right_state, child)
-    head.last_rel = action.relation
-    head.enc = encode_node(tape, model, head)
+    head.enc = encode_node(tape, model, head.left_state[0], head.right_state[0], label)
     pending.remove(dep)
 
 

@@ -28,7 +28,8 @@ class LstmCell:
     """Single LSTM cell: logistic input/forget/output gates, tanh candidate.
 
     The gates are stacked in GATES order into ``stacked`` = (W_x, W_h, b) with
-    4H rows each, so a step is two matmuls, two adds and one ``lstm_gates``.
+    4H rows each, so a step is two matmuls, two adds and one ``lstm_gates``
+    over one column per cell run side by side.
     The store's per-gate parameters ``name/gate/W_x|W_h|b`` are row blocks of
     those matrices and of their gradient buffers; every write to a parameter
     or gradient is in place, so the two stay one set of numbers.
@@ -50,14 +51,15 @@ class LstmCell:
                 by_gate[gate] = store.add(f"{name}/{gate}/{param}", full.value[rows])
                 by_gate[gate].grad = full.grad[rows]
 
-    def initial_state(self):
-        zeros = np.zeros((self.hidden_size, 1))
-        return Tensor(zeros.copy()), Tensor(zeros.copy())
+    def initial_state(self, k: int = 1):
+        """Zero (h, c) for k cells side by side."""
+        return Tensor(np.zeros((self.hidden_size, k))), Tensor(np.zeros((self.hidden_size, k)))
 
     def step(self, tape, h_prev: Tensor, c_prev: Tensor, x: Tensor):
-        if x.value.shape != (self.input_size, 1):
+        """One step of k cells side by side: x is (input_size, k), h and c (H, k)."""
+        if x.value.shape[0] != self.input_size:
             raise ShapeError(
-                f"{self.name}: input shape {x.value.shape}, expected ({self.input_size}, 1)"
+                f"{self.name}: input shape {x.value.shape}, expected ({self.input_size}, k)"
             )
         w_x, w_h, b = self.stacked
         z = tape.add(tape.add(tape.matmul(w_x, x), tape.matmul(w_h, h_prev)), b)
@@ -77,30 +79,58 @@ class BiLstm:
             self.fwd.append(LstmCell(store, f"{name}/fwd{k}", size, hidden_size, rng))
             self.bwd.append(LstmCell(store, f"{name}/bwd{k}", size, hidden_size, rng))
 
-    def run(self, tape, inputs):
-        """Returns (per-position outputs, final forward h, final backward h).
+    def run(self, tape, x: Tensor, lengths):
+        """Runs m sequences side by side; returns (outputs, final forward h, final backward h).
 
-        Layer k consumes layer k-1 outputs; output[i] is the concatenation of the
-        forward state after i+1 steps with the backward state after n-i steps.
+        ``lengths`` holds the m sequence lengths. Column t*m + j of x is step t
+        of sequence j, for t below the longest length; columns past a
+        sequence's end are padding. Outputs keep that layout with 2*hidden
+        rows: the forward state after t+1 steps over the backward state after
+        lengths[j]-t steps. The final states are (hidden, m). Layer k consumes
+        layer k-1 outputs. The backward cells read each sequence reversed
+        within its own length, so padding, like any later step, never reaches
+        a sequence's outputs.
         """
-        if not inputs:
+        m = len(lengths)
+        if not m or min(lengths) < 1:
             raise ValueError("bilstm over an empty sequence")
-
-        def states(cell, xs):
-            h, c = cell.initial_state()
-            hs = []
-            for x in xs:
-                h, c = cell.step(tape, h, c, x)
-                hs.append(h)
-            return hs
-
-        seq = list(inputs)
+        steps = max(lengths)
+        if x.value.shape[1] != steps * m:
+            raise ShapeError(f"{self.name}: {x.value.shape[1]} input columns for lengths {list(lengths)}")
+        grid = np.arange(steps * m).reshape(steps, m)
+        reverse = grid.copy()  # its own inverse: it maps step t to step length-1-t
+        for j, n in enumerate(lengths):
+            reverse[:n, j] = grid[n - 1 :: -1, j]
+        reverse = reverse.ravel()
+        seq = x
         for fwd, bwd in zip(self.fwd, self.bwd):
-            f_hs = states(fwd, seq)
-            b_hs = states(bwd, seq[::-1])[::-1]
-            seq = [tape.concat(f, b) for f, b in zip(f_hs, b_hs)]
-        # final backward state is the one aligned with the first position
-        return seq, f_hs[-1], b_hs[0]
+            h_fwd = _run_cell(tape, fwd, seq, m)
+            h_bwd = tape.columns(_run_cell(tape, bwd, tape.columns(seq, reverse), m), reverse)
+            seq = tape.concat(h_fwd, h_bwd)
+        last = grid[np.asarray(lengths) - 1, np.arange(m)]
+        # the backward state after a whole sequence is aligned with its first step
+        return seq, tape.columns(h_fwd, last), tape.columns(h_bwd, slice(0, m))
+
+
+def _run_cell(tape, cell: LstmCell, x: Tensor, m: int) -> Tensor:
+    """All states of m sequences through one cell, as (hidden, steps * m).
+
+    The inputs of every step go through one matmul with the bias added; the
+    zero initial h adds nothing to the first step.
+    """
+    if x.value.shape[0] != cell.input_size:
+        raise ShapeError(f"{cell.name}: input shape {x.value.shape}, expected ({cell.input_size}, k)")
+    w_x, w_h, b = cell.stacked
+    z = tape.add(tape.matmul(w_x, x), b)
+    c = cell.initial_state(m)[1]
+    hs = []
+    for t in range(0, z.value.shape[1], m):
+        z_t = tape.columns(z, slice(t, t + m))
+        if hs:
+            z_t = tape.add(z_t, tape.matmul(w_h, hs[-1]))
+        h, c = tape.lstm_gates(z_t, c)
+        hs.append(h)
+    return tape.join_columns(*hs)
 
 
 class Mlp:

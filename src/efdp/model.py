@@ -127,10 +127,14 @@ class ParserModel:
             raise DataError(f"unsupported model metadata version {version}")
         try:
             cfg = Config(**meta["arch"])
-            if cfg.use_pretrained and pretrained is None:
-                raise ConfigError(
-                    "model was trained with pretrained embeddings; pass the embedding file"
-                )
+            cfg.validate()
+        except ConfigError as e:  # a setting out of range is damage to the file
+            raise DataError(f"malformed model metadata {meta_path(path)}: {e}") from None
+        except (KeyError, TypeError) as e:
+            raise DataError(f"malformed model metadata {meta_path(path)}: {e!r}") from None
+        if cfg.use_pretrained and pretrained is None:
+            raise ConfigError("model was trained with pretrained embeddings; pass the embedding file")
+        try:
             model = cls(cfg, Vocab.from_meta(meta["vocab"]), pretrained=pretrained)
         except (KeyError, TypeError, ValueError, MemoryError) as e:  # dims come from the file
             raise DataError(f"malformed model metadata {meta_path(path)}: {e!r}") from None

@@ -187,21 +187,24 @@ def train(corpus, model, epochs, dev=None, early_stop=None):
         raise ValueError("empty training corpus")
     trainer = Trainer(model)
     order_rng = np.random.default_rng(model.config.seed + 1)
+    tokens = sum(len(s) for s in corpus)
     metrics = []
     best = None
     best_params = None
     for epoch in range(1, epochs + 1):
-        started = time.time()
+        started = time.perf_counter()
         updates_before = trainer.updates
         order = order_rng.permutation(len(corpus))
         loss = sum(trainer.train_sentence(corpus[int(i)]) for i in order)
         trainer.flush()
+        seconds = time.perf_counter() - started
         record = {
             "epoch": epoch,
             "sentences": len(corpus),
             "loss": loss,
             "updates": trainer.updates - updates_before,
-            "seconds": time.time() - started,
+            "seconds": seconds,
+            "tok_s": tokens / max(seconds, 1e-9),
         }
         if dev:
             predicted = [arcs_to_rows(parse(s, model), len(s)) for s in dev]
@@ -213,7 +216,8 @@ def train(corpus, model, epochs, dev=None, early_stop=None):
                 best_params = model.store.to_bytes()
         metrics.append(record)
         log.info(
-            "epoch {epoch} sentences {sentences} loss {loss:.4f} updates {updates}".format(**record)
+            "epoch {epoch} sentences {sentences} loss {loss:.4f} updates {updates} seconds {seconds:.2f} "
+            "tok/s {tok_s:.1f}".format(**record)
             + (
                 " dev_uas {dev_uas:.2f} dev_las {dev_las:.2f}".format(**record)
                 if dev

@@ -182,49 +182,58 @@ def load_pretrained(path: str) -> PretrainedTable:
     return parse_pretrained(read_text(path, DataError))
 
 
-def char_compose(tape, model, form: str) -> Tensor:
-    """Compose a word vector from its characters with the char BiLSTM.
+def char_compose(tape, model, forms) -> Tensor:
+    """Compose one vector per word form with the char BiLSTM, as (2*char_hidden, m).
 
-    Returns concat(final forward state, final backward state); unseen
-    characters fall back to the unknown character embedding.
+    Column j is concat(final forward state, final backward state) of form j.
+    All forms run side by side, padded to the longest; unseen characters fall
+    back to the unknown character embedding.
     """
-    ids = model.vocab.char_ids(form)
-    inputs = [tape.pick_row(model.char_emb, i) for i in ids]
-    _, f_final, b_final = model.char_net.run(tape, inputs)
+    ids = [model.vocab.char_ids(form) for form in forms]
+    lengths = [len(row) for row in ids]
+    grid = np.full((max(lengths, default=0), len(ids)), PAD_ID)  # (step, word)
+    for j, row in enumerate(ids):
+        grid[: len(row), j] = row
+    x = tape.pick_row(model.char_emb, grid.ravel())
+    _, f_final, b_final = model.char_net.run(tape, x, lengths)
     return tape.concat(f_final, b_final)
 
 
-def word_vector(tape, model, token, rng=None) -> Tensor:
-    """Pre-context vector for one token.
+def word_vector(tape, model, sentence, rng=None) -> Tensor:
+    """Pre-context vectors of a sentence's tokens, as (vprime_dim, n).
 
-    Active blocks are concatenated in fixed order (word, POS, characters,
-    pretrained) and mapped to the configured dimension with a tanh layer.
+    Active blocks are stacked in fixed order (word, POS, characters,
+    pretrained) and mapped to the configured dimension with one tanh layer.
     In training, which passes ``rng``, rare words may be dropped to the
-    unknown id so the unknown embedding gets trained.
+    unknown id so the unknown embedding gets trained; the draws go token by
+    token in sentence order.
     """
-    cfg = model.config
-    wid = model.vocab.word_id(token.form)
-    if cfg.word_dropout and rng is not None and wid != UNK_ID:
-        freq = model.vocab.word_freq.get(token.form, 0)
-        if rng.random() < cfg.dropout_alpha / (cfg.dropout_alpha + freq):
-            wid = UNK_ID
+    cfg, vocab = model.config, model.vocab
+    wids = [vocab.word_id(t.form) for t in sentence]
+    if cfg.word_dropout and rng is not None:
+        for k, token in enumerate(sentence):
+            freq = vocab.word_freq.get(token.form, 0)
+            if wids[k] != UNK_ID and rng.random() < cfg.dropout_alpha / (cfg.dropout_alpha + freq):
+                wids[k] = UNK_ID
     parts = [
-        tape.pick_row(model.word_emb, wid),
-        tape.pick_row(model.pos_emb, model.vocab.pos_id(token.pos)),
+        tape.pick_row(model.word_emb, wids),
+        tape.pick_row(model.pos_emb, [vocab.pos_id(t.pos) for t in sentence]),
     ]
     if cfg.use_char:
-        parts.append(char_compose(tape, model, token.form))
+        parts.append(char_compose(tape, model, [t.form for t in sentence]))
     if cfg.use_pretrained:
-        parts.append(Tensor(model.pretrained.lookup(token.form)))
+        parts.append(Tensor(np.column_stack([model.pretrained.lookup(t.form) for t in sentence])))
     x = tape.concat(*parts)
     return tape.tanh(tape.add(tape.matmul(model.w_v, x), model.b_v))
 
 
-def encode_sentence(tape, model, sentence, rng=None) -> list:
-    """Contextual vectors for every token: concat of forward/backward states.
+def encode_sentence(tape, model, sentence, rng=None) -> Tensor:
+    """Contextual vectors of every token as (2*sent_hidden, n).
+
+    Column i stacks the forward state through token i over the backward
+    state from the last token back to token i.
 
     ``rng`` is given only in training, where it draws the word dropout.
     """
-    primes = [word_vector(tape, model, t, rng) for t in sentence]
-    contextual, _, _ = model.sent_net.run(tape, primes)
+    contextual, _, _ = model.sent_net.run(tape, word_vector(tape, model, sentence, rng), [len(sentence)])
     return contextual

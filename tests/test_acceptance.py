@@ -84,12 +84,12 @@ def test_gradient_integrity():
         # stacked BiLSTM
         store = ParameterStore()
         net = BiLstm(store, "bi", 2, 3, 2, rng)
-        seq = [constant(rng.uniform(-1, 1, (2, 1))) for _ in range(3)]
+        seq = constant(np.hstack([rng.uniform(-1, 1, (2, 1)) for _ in range(3)]))
 
         def bilstm_loss():
             t = Tape()
-            outputs, f_fin, b_fin = net.run(t, seq)
-            return t, t.sum_all(t.concat(*outputs, f_fin, b_fin))
+            outputs, f_fin, b_fin = net.run(t, seq, [3])
+            return t, t.add(t.sum_all(outputs), t.sum_all(t.concat(f_fin, b_fin)))
 
         check_gradients(bilstm_loss, store, rtol=RTOL)
 
@@ -118,7 +118,7 @@ def test_gradient_integrity():
             vocab=SimpleNamespace(root_label="root"),
         )
         words = Sentence(tuple(Token(i, f"w{i}", "N", 0 if i == 1 else 1, "r0") for i in (1, 2, 3)))
-        vecs = [constant(rng.uniform(-1, 1, (v_dim, 1))) for _ in range(3)]
+        vecs = constant(np.hstack([rng.uniform(-1, 1, (v_dim, 1)) for _ in range(3)]))
 
         def tree_loss():
             t = Tape()

@@ -37,10 +37,22 @@ def test_shape_errors_name_the_op():
         t.matmul(constant(np.ones((2, 3))), constant(np.ones((2, 3))))
     with pytest.raises(ShapeError, match="add"):
         t.add(constant([1.0]), constant([1.0, 2.0]))
+    with pytest.raises(ShapeError, match="add"):
+        t.add(constant([1.0]), constant(np.ones((1, 2))))  # only the right operand broadcasts
     with pytest.raises(ShapeError, match="concat"):
-        t.concat(constant(np.ones((2, 2))))
+        t.concat(constant(np.ones((2, 2))), constant(np.ones((2, 1))))
     with pytest.raises(ShapeError, match="pick_row"):
         t.pick_row(constant([1.0]), 3)
+    with pytest.raises(ShapeError, match="pick_row"):
+        t.pick_row(constant(np.ones((2, 3))), [0, 2])
+    with pytest.raises(ShapeError, match="columns"):
+        t.columns(constant(np.ones((2, 3))), [1, 3])
+    with pytest.raises(ShapeError, match="columns"):
+        t.columns(constant(np.ones((2, 3))), slice(3, 4))
+    with pytest.raises(ShapeError, match="join_columns"):
+        t.join_columns(constant(np.ones((2, 2))), constant(np.ones((3, 2))))
+    with pytest.raises(ShapeError, match="lstm_gates"):
+        t.lstm_gates(constant(np.ones((8, 3))), constant(np.ones((2, 2))))
 
 
 def test_non_finite_forward_is_an_error():
@@ -92,6 +104,39 @@ def test_per_op_gradients_match_finite_differences(op):
         elif op == "scale":
             out = t.scale(t.matmul(a, b), -1.7)
         return t, t.sum_all(out)
+
+    check_gradients(build, store)
+
+
+@pytest.mark.parametrize("op", ["add", "concat", "pick_row", "columns", "join_columns", "lstm_gates"])
+def test_column_batch_gradients_match_finite_differences(op):
+    # every operand spans k = 3 columns, or is the one-column bias, row table or cell state fed to them
+    rng = np.random.default_rng(sum(map(ord, op)))
+    store = ParameterStore()
+    a = store.add("a", rng.uniform(-1, 1, (4, 2)))
+    x = store.add("x", rng.uniform(-1, 1, (2, 3)))
+    c = store.add("c", rng.uniform(-1, 1, (4, 1)))
+    y = store.add("y", rng.uniform(-1, 1, (3, 3)))
+    weights = constant(rng.uniform(-1, 1, (9, 9)))  # so no two output entries share a gradient
+
+    def build():
+        t = Tape()
+        ax = t.matmul(a, x)  # (4, 3)
+        if op == "add":
+            out = t.add(ax, c)
+        elif op == "concat":
+            out = t.concat(ax, x, y)
+        elif op == "pick_row":
+            out = t.pick_row(y, [2, 0, 2, 1])  # a repeated row sums its columns' gradients
+        elif op == "columns":
+            out = t.join_columns(t.columns(ax, [2, 0, 2]), t.columns(ax, slice(1, 3)))
+        elif op == "join_columns":
+            out = t.join_columns(ax, c, ax)
+        elif op == "lstm_gates":
+            h, cell = t.lstm_gates(t.concat(ax, t.scale(ax, -0.7)), x)  # H = 2
+            out = t.concat(h, cell)
+        rows, cols = out.value.shape
+        return t, t.sum_all(t.pointwise_mul(constant(weights.value[:rows, :cols]), out))
 
     check_gradients(build, store)
 

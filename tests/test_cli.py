@@ -10,7 +10,7 @@ from efdp.autodiff import FORMAT_VERSION, MAGIC
 from efdp.config import Config, parse_config
 from efdp.errors import ConfigError, DataError
 from efdp.model import ParserModel, meta_path
-from efdp.represent import build_vocab
+from efdp.represent import build_vocab, parse_pretrained
 from efdp.synthetic import grammar_corpus, toy_corpus
 from efdp.treebank import Sentence, read_conll, write_conll, write_conll_file
 from helpers import TINY, tiny_model
@@ -327,6 +327,21 @@ def _zero_dim_beside_huge_dims(path):
     )
 
 
+def _edit_arch(path, key, value):
+    meta_file = path.parent / meta_path(path.name)
+    meta = json.loads(meta_file.read_text(encoding="utf-8"))
+    meta["arch"][key] = value
+    meta_file.write_text(json.dumps(meta), encoding="utf-8")
+
+
+def _zero_tree_hidden(path):
+    _edit_arch(path, "tree_hidden", 0)
+
+
+def _zero_sent_hidden(path):
+    _edit_arch(path, "sent_hidden", 0)
+
+
 def _edit_vocab(path, key, edit):
     meta_file = path.parent / meta_path(path.name)
     meta = json.loads(meta_file.read_text(encoding="utf-8"))
@@ -358,7 +373,7 @@ def _root_label_not_a_string(path):
     "damage",
     [_bad_meta_json, _meta_without_arch, _non_utf8_parameter_name, _dims_overflowing_64_bits,
      _zero_dim_beside_huge_dims, _non_finite_value, _empty_relations, _duplicate_relations,
-     _relations_as_string, _root_label_not_a_string],
+     _relations_as_string, _root_label_not_a_string, _zero_tree_hidden, _zero_sent_hidden],
 )
 def test_malformed_model_files_are_data_errors(tmp_path, capsys, damage):
     model, corpus = tiny_model(seed=4)
@@ -370,6 +385,19 @@ def test_malformed_model_files_are_data_errors(tmp_path, capsys, damage):
         ParserModel.load(str(path))
     assert run(["parse", "--model", path, "--input", tmp_path / "in.conll",
                 "--output", tmp_path / "out.conll"]) == 2
+    assert_one_line_error(capsys)
+
+
+def test_a_pretrained_model_without_its_embedding_file_is_a_config_error(tmp_path, capsys):
+    corpus = toy_corpus(seed=11, count=6, n_min=3, n_max=6)
+    table = parse_pretrained("".join(f"{t.form} 0.5 -0.5\n" for t in corpus[0]))
+    path = tmp_path / "model.bin"
+    ParserModel(Config(seed=4, use_pretrained=True, **TINY), build_vocab(corpus), pretrained=table).save(str(path))
+    write_conll_file(str(tmp_path / "in.conll"), corpus)
+    with pytest.raises(ConfigError, match="pass the embedding file"):
+        ParserModel.load(str(path))
+    assert run(["parse", "--model", path, "--input", tmp_path / "in.conll",
+                "--output", tmp_path / "out.conll"]) == 1
     assert_one_line_error(capsys)
 
 

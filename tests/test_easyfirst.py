@@ -75,14 +75,13 @@ def test_leaf_encoding_matches_manual_computation():
     vectors = encode_sentence(tape, model, sentence)
     pending = init_pending(tape, model, vectors, sentence)
     null = model.null_label.value
-    for item, v in zip(pending, vectors):
-        seed = np.vstack([v.value, null])
+    for item, v in zip(pending, vectors.value.T):
+        seed = np.vstack([v[:, None], null])
         zeros = np.zeros((model.config.tree_hidden, 1))
         h_l, _ = manual_lstm_step(model.tree_left, zeros, zeros, seed)
         h_r, _ = manual_lstm_step(model.tree_right, zeros, zeros, seed)
         enc = np.tanh(model.w_e.value @ np.vstack([h_l, h_r, null]) + model.b_e.value)
         assert np.allclose(item.enc.value, enc, atol=1e-12)
-        assert item.last_rel is None  # no child attached yet
 
 
 def test_init_pending_rejects_empty():
@@ -114,6 +113,16 @@ def test_action_count_formula():
         assert len(enumerate_actions(n, r)) == brute == 2 * r * (n - 1)
         for m in range(2, n):  # a shorter pending list enumerates a prefix
             assert enumerate_actions(m, r) == enumerate_actions(n, r)[: 2 * r * (m - 1)]
+
+
+def test_actions_are_shared_and_cannot_be_mutated():
+    first = enumerate_actions(6, 3)
+    assert isinstance(first, tuple)
+    again = enumerate_actions(6, 3)
+    assert again == first and all(a is b for a, b in zip(again, first))  # built once
+    longer = enumerate_actions(9, 3)
+    assert enumerate_actions(6, 3) == longer[: len(first)] == first
+    assert enumerate_actions(2, 3) == longer[:6]
 
 
 def test_enumerate_rejects_finished_parse():

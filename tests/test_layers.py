@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from efdp.autodiff import ParameterStore, ShapeError, Tape, constant
 from efdp.layers import GATES, BiLstm, LstmCell, Mlp
@@ -132,18 +132,23 @@ def test_saturated_gates_freeze_the_cell_state():
     assert np.abs(c1.value - c0).max() < 1e-6
 
 
+def columns_of(vectors):
+    """The (d, n) constant whose columns are the given (d, 1) arrays."""
+    return constant(np.hstack(vectors))
+
+
 def test_bilstm_single_input_concatenates_one_step_each_way():
     store = ParameterStore()
     rng = np.random.default_rng(3)
     net = BiLstm(store, "bi", 3, 4, 1, rng)
     x = constant(rng.uniform(-1, 1, (3, 1)))
     t = Tape()
-    outputs, f_fin, b_fin = net.run(t, [x])
-    assert len(outputs) == 1 and outputs[0].value.shape == (8, 1)
+    outputs, f_fin, b_fin = net.run(t, x, [1])
+    assert outputs.value.shape == (8, 1)
     t2 = Tape()
     hf, _ = net.fwd[0].step(t2, *net.fwd[0].initial_state(), x)
     hb, _ = net.bwd[0].step(t2, *net.bwd[0].initial_state(), x)
-    assert np.array_equal(outputs[0].value, np.vstack([hf.value, hb.value]))
+    assert np.array_equal(outputs.value, np.vstack([hf.value, hb.value]))
     assert np.array_equal(f_fin.value, hf.value)
     assert np.array_equal(b_fin.value, hb.value)
 
@@ -160,22 +165,21 @@ def test_reversed_input_swaps_directions_under_shared_weights():
     rng = np.random.default_rng(4)
     net = BiLstm(store, "bi", 3, 4, 1, rng)
     copy_weights(net.fwd[0], net.bwd[0])
-    xs = [constant(rng.uniform(-1, 1, (3, 1))) for _ in range(5)]
-    fwd_out, _, _ = net.run(Tape(), xs)
-    rev_out, _, _ = net.run(Tape(), xs[::-1])
+    xs = columns_of([rng.uniform(-1, 1, (3, 1)) for _ in range(5)])
+    fwd_out, _, _ = net.run(Tape(), xs, [5])
+    rev_out, _, _ = net.run(Tape(), constant(xs.value[:, ::-1]), [5])
     for i in range(5):
-        a = fwd_out[i].value
-        b = rev_out[4 - i].value
+        a = fwd_out.value[:, i]
+        b = rev_out.value[:, 4 - i]
         assert np.allclose(a[:4], b[4:]) and np.allclose(a[4:], b[:4])
 
 
 def test_two_layer_hundred_dim_outputs_are_two_hundred_wide():
     store = ParameterStore()
     net = BiLstm(store, "bi", 7, 100, 2, np.random.default_rng(5))
-    xs = [constant(np.random.default_rng(6).uniform(-1, 1, (7, 1))) for _ in range(3)]
-    outputs, f_fin, b_fin = net.run(Tape(), xs)
-    assert len(outputs) == len(xs)
-    assert all(o.value.shape == (200, 1) for o in outputs)
+    xs = columns_of([np.random.default_rng(6).uniform(-1, 1, (7, 1)) for _ in range(3)])
+    outputs, f_fin, b_fin = net.run(Tape(), xs, [3])
+    assert outputs.value.shape == (200, 3)
     assert f_fin.value.shape == (100, 1) and b_fin.value.shape == (100, 1)
 
 
@@ -183,19 +187,23 @@ def test_bilstm_rejects_empty_input():
     store = ParameterStore()
     net = BiLstm(store, "bi", 3, 4, 1, np.random.default_rng(0))
     with pytest.raises(ValueError, match="empty"):
-        net.run(Tape(), [])
+        net.run(Tape(), constant(np.zeros((3, 0))), [])
+    with pytest.raises(ValueError, match="empty"):
+        net.run(Tape(), constant(np.zeros((3, 4))), [2, 0])
+    with pytest.raises(ShapeError, match="bi"):
+        net.run(Tape(), constant(np.zeros((3, 5))), [2, 2])
 
 
 def test_stacked_bilstm_gradients():
     store = ParameterStore()
     rng = np.random.default_rng(9)
     net = BiLstm(store, "bi", 2, 3, 2, rng)
-    xs = [constant(rng.uniform(-1, 1, (2, 1))) for _ in range(3)]
+    xs = columns_of([rng.uniform(-1, 1, (2, 1)) for _ in range(3)])
 
     def build():
         t = Tape()
-        outputs, f_fin, b_fin = net.run(t, xs)
-        return t, t.sum_all(t.concat(*outputs, f_fin, b_fin))
+        outputs, f_fin, b_fin = net.run(t, xs, [3])
+        return t, t.add(t.sum_all(outputs), t.sum_all(t.concat(f_fin, b_fin)))
 
     check_gradients(build, store)
 
@@ -206,10 +214,67 @@ def test_bilstm_output_length_and_width(input_size, hidden, layers, n):
     store = ParameterStore()
     rng = np.random.default_rng(0)
     net = BiLstm(store, "bi", input_size, hidden, layers, rng)
-    xs = [constant(rng.uniform(-1, 1, (input_size, 1))) for _ in range(n)]
-    outputs, _, _ = net.run(Tape(), xs)
-    assert len(outputs) == n
-    assert all(o.value.shape == (2 * hidden, 1) for o in outputs)
+    xs = columns_of([rng.uniform(-1, 1, (input_size, 1)) for _ in range(n)])
+    outputs, _, _ = net.run(Tape(), xs, [n])
+    assert outputs.value.shape == (2 * hidden, n)
+
+
+def assert_close(got, want, **kwargs):
+    """Equal within rtol 1e-12; batched products sum in another order, so an
+    entry that cancels to near zero is held to 1e-12 of the largest entry."""
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max(), **kwargs)
+
+
+def run_bilstm_and_backprop(net, store, x, lengths, out_weights, fin_weights):
+    """Outputs, final states and every gradient of one weighted-sum loss over a batched run."""
+    store.zero_grads()
+    x = constant(x)
+    t = Tape()
+    outputs, f_fin, b_fin = net.run(t, x, lengths)
+    finals = t.concat(f_fin, b_fin)
+    loss = t.add(t.sum_all(t.pointwise_mul(constant(out_weights), outputs)),
+                 t.sum_all(t.pointwise_mul(constant(fin_weights), finals)))
+    t.backward(loss)
+    grads = {name: p.grad.copy() for name, p in store.items()}
+    return outputs.value, finals.value, x.grad, grads
+
+
+@settings(max_examples=25, deadline=None)
+@example([1], 2, 3, 1, 0)  # m = 1, one step
+@example([4], 3, 2, 2, 1)  # m = 1
+@example([3, 3, 3], 2, 2, 2, 2)  # equal lengths
+@example([1, 5, 1, 2], 3, 3, 2, 3)  # 1-step sequences beside longer ones
+@given(
+    st.lists(st.integers(1, 5), min_size=1, max_size=4),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.integers(1, 2),
+    st.integers(0, 2**16),
+)
+def test_batched_bilstm_matches_one_sequence_at_a_time(lengths, input_size, hidden, layers, seed):
+    rng = np.random.default_rng(seed)
+    store = ParameterStore()
+    net = BiLstm(store, "bi", input_size, hidden, layers, rng)
+    m, steps = len(lengths), max(lengths)
+    x = rng.uniform(-1, 1, (input_size, steps * m))  # padding columns hold values too
+    padding = np.ones(steps * m, dtype=bool)
+    padding[[t * m + j for j, n in enumerate(lengths) for t in range(n)]] = False
+    out_w = rng.uniform(-1, 1, (2 * hidden, steps * m))
+    out_w[:, padding] = 0.0  # a caller reads no padded output
+    fin_w = rng.uniform(-1, 1, (2 * hidden, m))
+    outputs, finals, x_grad, grads = run_bilstm_and_backprop(net, store, x, lengths, out_w, fin_w)
+    grad_sum = {name: np.zeros_like(g) for name, g in grads.items()}
+    for j, n in enumerate(lengths):
+        cols = np.arange(n) * m + j  # sequence j's own steps in the batch layout
+        o, f, xg, g = run_bilstm_and_backprop(net, store, x[:, cols], [n], out_w[:, cols], fin_w[:, j : j + 1])
+        assert_close(outputs[:, cols], o)
+        assert_close(finals[:, j : j + 1], f)
+        assert_close(x_grad[:, cols], xg)
+        for name in grad_sum:
+            grad_sum[name] += g[name]
+    assert not x_grad[:, padding].any()  # padding reaches no sequence's outputs
+    for name, g in grads.items():
+        assert_close(g, grad_sum[name], err_msg=name)
 
 
 # ---- MLP ----

@@ -1,4 +1,6 @@
 import dataclasses
+import logging
+import re
 
 import numpy as np
 import pytest
@@ -387,3 +389,25 @@ def test_train_records_metrics_and_stays_finite():
         assert np.isfinite(record["loss"])
         assert record["sentences"] == 6
         assert "dev_uas" in record and "dev_las" in record
+
+
+def test_train_logs_seconds_and_speed_in_each_epoch_line(caplog):
+    corpus = grammar_corpus(seed=2, count=6)
+    from efdp.represent import build_vocab
+    from efdp.model import ParserModel
+    from efdp.config import Config
+    from helpers import TINY
+
+    model = ParserModel(Config(seed=5, **TINY), build_vocab(corpus))
+    caplog.set_level(logging.INFO, logger="efdp.oracle")
+    metrics = train(corpus, model, 2)
+    lines = [m for m in caplog.messages if m.startswith("epoch ")]
+    assert len(lines) == 2
+    tokens = sum(len(s) for s in corpus)
+    for line, record in zip(lines, metrics):
+        match = re.fullmatch(r"epoch (\d+) sentences 6 loss [-\d.]+ updates \d+ seconds ([\d.]+) tok/s ([\d.]+)", line)
+        assert match, line
+        assert int(match[1]) == record["epoch"]
+        assert float(match[2]) == round(record["seconds"], 2)
+        assert record["tok_s"] == pytest.approx(tokens / record["seconds"])
+        assert float(match[3]) == round(record["tok_s"], 1)

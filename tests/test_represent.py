@@ -135,7 +135,7 @@ def test_char_compose_dims_match_pinned_defaults():
     cfg = Config(use_char=True, word_dim=6, pos_dim=3, vprime_dim=8, sent_hidden=4,
                  sent_layers=1, tree_hidden=4, label_dim=3, mlp_hidden=5)
     model = ParserModel(cfg, vocab)
-    out = char_compose(Tape(), model, "w01")
+    out = char_compose(Tape(), model, ["w01"])
     # char net pinned at dimension 100, two layers of 100 per direction
     assert cfg.char_dim == 100 and cfg.char_layers == 2 and cfg.char_hidden == 100
     assert out.value.shape == (200, 1)
@@ -152,11 +152,11 @@ def test_char_compose_depends_on_character_order():
     assert model.vocab.chars.get(a) not in (None, UNK_ID)
     assert model.vocab.chars.get(b) not in (None, UNK_ID)
     t = Tape()
-    same1 = char_compose(t, model, a + a)
-    same2 = char_compose(t, model, a + a)
+    same1 = char_compose(t, model, [a + a])
+    same2 = char_compose(t, model, [a + a])
     assert np.array_equal(same1.value, same2.value)
-    ab = char_compose(t, model, a + b)
-    ba = char_compose(t, model, b + a)
+    ab = char_compose(t, model, [a + b])
+    ba = char_compose(t, model, [b + a])
     assert not np.array_equal(ab.value, ba.value)
 
 
@@ -164,22 +164,46 @@ def test_unseen_characters_use_the_unknown_embedding():
     model, _ = small_char_model()
     t = Tape()
     assert np.array_equal(
-        char_compose(t, model, "ø").value,  # either char is out of vocabulary
-        char_compose(t, model, "Ω").value,
+        char_compose(t, model, ["ø"]).value,  # either char is out of vocabulary
+        char_compose(t, model, ["Ω"]).value,
     )
 
 
 def test_single_character_word_composes():
     model, _ = small_char_model()
-    out = char_compose(Tape(), model, "w")
+    out = char_compose(Tape(), model, ["w"])
     assert out.value.shape == (2 * model.config.char_hidden, 1)
+
+
+def test_char_compose_columns_match_one_word_at_a_time():
+    model, _ = small_char_model()
+    forms = ["w01", "w", "0w1w0", "ø0"]  # lengths 3, 1, 5 and 2, one character unseen
+    t = Tape()
+    batched = char_compose(t, model, forms)
+    assert batched.value.shape == (2 * model.config.char_hidden, len(forms))
+    for j, form in enumerate(forms):
+        np.testing.assert_allclose(batched.value[:, j : j + 1], char_compose(t, model, [form]).value,
+                                   rtol=1e-12, atol=0)
+
+
+def test_word_vector_columns_match_one_token_at_a_time_with_the_same_dropout_draws():
+    model, corpus = tiny_model(seed=2, use_char=True, word_dropout=True, dropout_alpha=1.0)
+    sentence = corpus[0]
+    t = Tape()
+    batch_rng, token_rng = np.random.default_rng(7), np.random.default_rng(7)
+    batched = word_vector(t, model, sentence, rng=batch_rng)
+    assert batched.value.shape == (model.config.vprime_dim, len(sentence))
+    for k, token in enumerate(sentence):
+        np.testing.assert_allclose(batched.value[:, k : k + 1], word_vector(t, model, [token], rng=token_rng).value,
+                                   rtol=1e-12, atol=0)
+    assert batch_rng.random() == token_rng.random()  # one draw per token, in sentence order
 
 
 def test_word_vector_dim_fixed_and_pure_lookup_configs_agree():
     for flags in (dict(), dict(use_char=True)):
         model, corpus = tiny_model(seed=2, **flags)
         token = corpus[0][0]
-        out = word_vector(Tape(), model, token)
+        out = word_vector(Tape(), model, [token])
         assert out.value.shape == (model.config.vprime_dim, 1)
 
 
@@ -188,7 +212,7 @@ def test_word_vector_identical_for_equal_form_and_pos():
     token = corpus[0][0]
     clone = Token(9, token.form, token.pos, 0, "root")
     t = Tape()
-    assert np.array_equal(word_vector(t, model, token).value, word_vector(t, model, clone).value)
+    assert np.array_equal(word_vector(t, model, [token]).value, word_vector(t, model, [clone]).value)
 
 
 def test_word_vector_without_extras_uses_only_word_and_pos():
@@ -196,7 +220,7 @@ def test_word_vector_without_extras_uses_only_word_and_pos():
     cfg = model.config
     token = corpus[0][0]
     t = Tape()
-    out = word_vector(t, model, token)
+    out = word_vector(t, model, [token])
     wid = model.vocab.word_id(token.form)
     pid = model.vocab.pos_id(token.pos)
     x = np.vstack([model.word_emb.value[wid : wid + 1].T, model.pos_emb.value[pid : pid + 1].T])
@@ -208,11 +232,11 @@ def test_word_dropout_replaces_rare_words():
     model, corpus = tiny_model(seed=2, word_dropout=True, dropout_alpha=1e9)
     token = corpus[0][0]
     t = Tape()
-    dropped = word_vector(t, model, token, rng=np.random.default_rng(0))
+    dropped = word_vector(t, model, [token], rng=np.random.default_rng(0))
     unk_token = Token(1, "<absent-form>", token.pos, 0, "root")
-    as_unk = word_vector(t, model, unk_token)
+    as_unk = word_vector(t, model, [unk_token])
     assert np.array_equal(dropped.value, as_unk.value)
-    plain = word_vector(t, model, token)
+    plain = word_vector(t, model, [token])
     assert not np.array_equal(dropped.value, plain.value)
 
 
@@ -220,23 +244,22 @@ def test_encode_sentence_lengths_and_single_token():
     model, corpus = tiny_model(seed=3)
     for sentence in corpus[:3]:
         vectors = encode_sentence(Tape(), model, sentence)
-        assert len(vectors) == len(sentence)
-        assert all(v.value.shape == (model.v_dim, 1) for v in vectors)
+        assert vectors.value.shape == (model.v_dim, len(sentence))
     single = Sentence((Token(1, "w01", "P0", 0, "root"),))
     vectors = encode_sentence(Tape(), model, single)
-    assert len(vectors) == 1
+    assert vectors.value.shape == (model.v_dim, 1)
 
 
 def test_context_spreads_across_the_whole_sentence():
     model, corpus = tiny_model(seed=3)
     sentence = corpus[1]
     assert len(sentence) >= 3
-    base = [v.value.copy() for v in encode_sentence(Tape(), model, sentence)]
+    base = encode_sentence(Tape(), model, sentence).value.T
     tokens = list(sentence.tokens)
     j = len(tokens) // 2
     other = "w00" if tokens[j].form != "w00" else "w01"
     tokens[j] = Token(tokens[j].index, other, tokens[j].pos, tokens[j].head, tokens[j].deprel)
-    changed = [v.value.copy() for v in encode_sentence(Tape(), model, Sentence(tuple(tokens)))]
+    changed = encode_sentence(Tape(), model, Sentence(tuple(tokens))).value.T
     for i in range(len(tokens)):
         assert not np.array_equal(base[i], changed[i]), f"position {i} unchanged"
 
@@ -246,7 +269,7 @@ def test_gradients_reach_character_embeddings():
     sentence = corpus[0]
     t = Tape()
     vectors = encode_sentence(t, model, sentence)
-    loss = t.sum_all(t.concat(*vectors))
+    loss = t.sum_all(vectors)
     t.backward(loss)
     used = {cid for tok in sentence for cid in model.vocab.char_ids(tok.form)}
     for cid in used:
@@ -262,6 +285,6 @@ def test_pretrained_block_feeds_word_vector():
     table = parse_pretrained("\n".join(lines[:-1]) + "\n")  # leave one word uncovered
     cfg = Config(use_pretrained=True, **TINY)
     model = ParserModel(cfg, vocab, pretrained=table)
-    out = word_vector(Tape(), model, corpus[0][0])
+    out = word_vector(Tape(), model, [corpus[0][0]])
     assert out.value.shape == (cfg.vprime_dim, 1)
     assert model.config.pretrained_dim == dim
