@@ -50,11 +50,6 @@ class Tensor:
         return f"Tensor{tag}{self.value.shape}"
 
 
-def constant(value, name: str = "") -> Tensor:
-    """A tensor that participates in forward values only (no gradient)."""
-    return Tensor(value, name)
-
-
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if t.grad is None:
         t.grad = g.copy()  # g may be another tensor's gradient or a view of one

@@ -33,13 +33,6 @@ WINDOW_SLOTS = WINDOW_BEFORE + 1 + WINDOW_AFTER
 
 
 @dataclass(frozen=True)
-class Action:
-    position: int  # attachment point, 1-based: acts on pending pair (i, i+1)
-    direction: int  # LEFT or RIGHT
-    relation: int
-
-
-@dataclass(frozen=True)
 class Arc:
     head: int  # 0 is the artificial root
     dep: int
@@ -94,29 +87,15 @@ def init_pending(tape, model, word_vectors, sentence: Sentence) -> list:
     return pending
 
 
-_ACTIONS = {}  # n_relations -> the actions of the longest pending list seen
+def decode(k: int, n_relations: int) -> tuple:
+    """The (position, direction, relation) of action index k.
 
-
-def enumerate_actions(pending_size: int, n_relations: int) -> tuple:
-    """All 2R(n-1) candidate actions in canonical order (position, direction, relation).
-
-    Entry k is the action that ``ActionScorer.scores`` scores at index k.
-    The order is position-major, so the actions for a shorter pending list
-    are a prefix of those for a longer one: each shape gets a prefix of one
-    shared tuple per relation count, built again only for a longer list.
+    Entry k of ``ActionScorer.scores`` scores this action. The layout is
+    position-major (positions from 1), LEFT before RIGHT, then relation.
     """
-    if pending_size < 2:
-        raise ValueError(f"no actions for a pending list of size {pending_size}")
-    count = 2 * n_relations * (pending_size - 1)
-    known = _ACTIONS.get(n_relations, ())
-    if len(known) < count:
-        known = _ACTIONS[n_relations] = tuple(
-            Action(i, d, r)
-            for i in range(1, pending_size)
-            for d in (LEFT, RIGHT)
-            for r in range(n_relations)
-        )
-    return known[:count]
+    pair, relation = divmod(k, n_relations)
+    position, direction = divmod(pair, 2)
+    return position + 1, direction, relation
 
 
 class ActionScorer:
@@ -152,7 +131,7 @@ class ActionScorer:
         return out
 
     def scores(self, pending) -> np.ndarray:
-        """The 2R(n-1) action scores as one flat array, in ``enumerate_actions`` order."""
+        """The 2R(n-1) action scores as one flat array, in ``decode`` order."""
         parts = []
         for i in range(1, len(pending)):
             u_out, r_out = self.outputs(pending, i)
@@ -160,31 +139,32 @@ class ActionScorer:
             parts.append(u_out.value + r_out.value.reshape(-1, 2).T)
         return np.concatenate(parts, axis=None)
 
-    def score_tensor(self, pending, action: Action):
-        """The scalar score of one action as a graph node, for loss terms."""
-        u_out, r_out = self.outputs(pending, action.position)
+    def score_tensor(self, pending, k: int):
+        """The scalar score of action k as a graph node, for loss terms."""
+        position, direction, relation = decode(k, self.model.n_relations)
+        u_out, r_out = self.outputs(pending, position)
         return self.tape.add(
-            self.tape.pick_row(u_out, action.direction),
-            self.tape.pick_row(r_out, action.relation * 2 + action.direction),
+            self.tape.pick_row(u_out, direction),
+            self.tape.pick_row(r_out, relation * 2 + direction),
         )
 
 
-def head_and_dep(pending, action: Action):
-    """The (head, dependent) pending items of an action's attachment."""
-    left, right = pending[action.position - 1], pending[action.position]
-    return (right, left) if action.direction == LEFT else (left, right)
+def head_and_dep(pending, position: int, direction: int):
+    """The (head, dependent) pending items of an attachment at a position."""
+    left, right = pending[position - 1], pending[position]
+    return (right, left) if direction == LEFT else (left, right)
 
 
-def apply_action(tape, model, pending, action: Action, arcs: list) -> None:
-    """Attach, record the arc, feed the child into the receiver, re-encode."""
-    idx = action.position - 1
-    if not 0 <= idx < len(pending) - 1:
-        raise ValueError(f"action position {action.position} invalid for {len(pending)} pending items")
-    head, dep = head_and_dep(pending, action)
-    arcs.append(Arc(head.head_index, dep.head_index, model.rel_names[action.relation]))
-    label = tape.pick_row(model.rel_emb, action.relation)
+def apply_action(tape, model, pending, k: int, arcs: list) -> None:
+    """Attach action k, record the arc, feed the child into the receiver, re-encode."""
+    position, direction, relation = decode(k, model.n_relations)
+    if not 1 <= position < len(pending):
+        raise ValueError(f"action {k} (position {position}) invalid for {len(pending)} pending items")
+    head, dep = head_and_dep(pending, position, direction)
+    arcs.append(Arc(head.head_index, dep.head_index, model.rel_names[relation]))
+    label = tape.pick_row(model.rel_emb, relation)
     child = tape.concat(dep.enc, label)
-    if action.direction == LEFT:
+    if direction == LEFT:
         head.left_state = model.tree_left.step(tape, *head.left_state, child)
     else:
         head.right_state = model.tree_right.step(tape, *head.right_state, child)
@@ -212,27 +192,27 @@ def parse(sentence: Sentence, model, scorer=None, trace=None) -> list:
     pending = init_pending(tape, model, vectors, sentence)
     if scorer is None:
         scorer = ActionScorer(tape, model)
-    actions = enumerate_actions(len(pending), model.n_relations)
     step = 0
     while len(pending) > 1:
         step += 1
         scores = scorer.scores(pending)
         k = int(np.argmax(scores))
         if trace is not None:
-            trace(format_trace(step, actions[k], scores[k], pending, model.rel_names))
-        apply_action(tape, model, pending, actions[k], arcs)
+            trace(format_trace(step, k, scores[k], pending, model.rel_names))
+        apply_action(tape, model, pending, k, arcs)
     arcs.append(Arc(0, pending[0].head_index, model.vocab.root_label))
     return arcs
 
 
-def format_trace(step: int, action: Action, score: float, pending, rel_names) -> str:
-    head, dep = head_and_dep(pending, action)
+def format_trace(step: int, k: int, score: float, pending, rel_names) -> str:
+    position, direction, relation = decode(k, len(rel_names))
+    head, dep = head_and_dep(pending, position, direction)
     return "\t".join(
         (
             str(step),
-            str(action.position),
-            DIRECTIONS[action.direction],
-            rel_names[action.relation],
+            str(position),
+            DIRECTIONS[direction],
+            rel_names[relation],
             head.form,
             dep.form,
             f"{score:.4f}",

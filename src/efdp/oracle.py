@@ -22,9 +22,9 @@ import time
 
 import numpy as np
 
-from .autodiff import Tape, constant
-from .easyfirst import (ActionScorer, apply_action, arcs_to_rows, enumerate_actions, head_and_dep,
-                        init_pending, parse)
+from .autodiff import Tape, Tensor
+from .easyfirst import (LEFT, RIGHT, ActionScorer, apply_action, arcs_to_rows, head_and_dep, init_pending,
+                        parse)
 from .evaluate import score as eval_score
 from .represent import encode_sentence
 
@@ -60,12 +60,12 @@ class OracleState:
         return head != 0 and head not in self.live
 
 
-def is_valid(action, state: OracleState, pending) -> bool:
-    head, dep = head_and_dep(pending, action)
+def is_valid(position: int, direction: int, relation: int, state: OracleState, pending) -> bool:
+    head, dep = head_and_dep(pending, position, direction)
     m = dep.head_index
     if not state.complete(m):
         return False
-    if action.relation != state.gold_rel[m]:
+    if relation != state.gold_rel[m]:
         return False
     return state.gold_head[m] == head.head_index or state.orphaned(m)
 
@@ -97,7 +97,7 @@ def hinge_loss(tape, margin, score_tensor):
     best_valid, best_invalid, loss = margin
     if best_invalid is None or loss <= 0.0:
         return None
-    one = constant([[1.0]])
+    one = Tensor([[1.0]])
     return tape.add(tape.sub(one, score_tensor(best_valid)), score_tensor(best_invalid))
 
 
@@ -148,12 +148,16 @@ class Trainer:
         pending = init_pending(tape, model, vectors, sentence)
         scorer = self.scorer_factory(tape, model, sentence)
         state = OracleState(sentence, model.vocab.rels)
-        actions = enumerate_actions(len(pending), model.n_relations)
+        relations = range(model.n_relations)
         arcs = []
         sentence_loss = 0.0
         while len(pending) > 1:
             scores = scorer.scores(pending)
-            valid = np.array([is_valid(a, state, pending) for a in actions[: len(scores)]])
+            # candidates in ``decode`` order, so mask index k is action k
+            valid = np.array([
+                is_valid(i, d, r, state, pending)
+                for i in range(1, len(pending)) for d in (LEFT, RIGHT) for r in relations
+            ])
             margin = best_valid, best_invalid, loss = hinge_margin(scores, valid)
             if (
                 self.explore
@@ -164,10 +168,10 @@ class Trainer:
             else:
                 choice = best_valid
                 if loss > 0.0:
-                    term = hinge_loss(tape, margin, lambda k: scorer.score_tensor(pending, actions[k]))
+                    term = hinge_loss(tape, margin, lambda k: scorer.score_tensor(pending, k))
                     self.losses.append(term)
                     sentence_loss += loss
-            apply_action(tape, model, pending, actions[choice], arcs)
+            apply_action(tape, model, pending, choice, arcs)
             state.on_attach(arcs[-1].dep)
             if len(self.losses) > self.error_batch:
                 self._update()

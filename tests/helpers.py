@@ -31,6 +31,12 @@ def tiny_model(seed=0, corpus_seed=11, count=6, **overrides):
     return ParserModel(cfg, vocab), corpus
 
 
+def action_index(position, direction, relation, n_relations):
+    """Index k of an action in the score array, written out by arithmetic:
+    position-major from 1, LEFT (0) before RIGHT (1), then relation."""
+    return (2 * (position - 1) + direction) * n_relations + relation
+
+
 def numeric_gradients(build_loss, params, eps=1e-4, coords=None):
     """Central finite differences of build_loss() w.r.t. each parameter entry.
 

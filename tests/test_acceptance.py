@@ -7,6 +7,7 @@ EFDP_VNDT_TEST point at treebank files (field data is not redistributable).
 
 import functools
 import io
+import itertools
 import os
 import time
 from types import SimpleNamespace
@@ -15,15 +16,15 @@ import numpy as np
 import pytest
 
 from efdp import cli
-from efdp.autodiff import ParameterStore, Tape, constant
+from efdp.autodiff import ParameterStore, Tape, Tensor
 from efdp.config import Config
 from efdp.easyfirst import (
     LEFT,
+    RIGHT,
     ActionScorer,
-    Action,
     apply_action,
     arcs_to_rows,
-    enumerate_actions,
+    decode,
     init_pending,
     parse,
 )
@@ -33,7 +34,7 @@ from efdp.oracle import hinge_loss, hinge_margin, train
 from efdp.represent import build_vocab, encode_sentence
 from efdp.synthetic import grammar_corpus, random_sentence
 from efdp.treebank import Sentence, Token, is_projective, validate_tree, write_conll_file
-from helpers import TINY, check_gradients, tiny_model
+from helpers import TINY, action_index, check_gradients, tiny_model
 from test_easyfirst import FIG_HEADS, ScriptedScorer, fig_model
 from test_oracle import gold_arcs, oracle_rollout
 
@@ -70,7 +71,7 @@ def test_gradient_integrity():
         # LSTM cell through a three-step chain
         store = ParameterStore()
         cell = LstmCell(store, "cell", 3, 4, rng)
-        xs = [constant(rng.uniform(-1, 1, (3, 1))) for _ in range(3)]
+        xs = [Tensor(rng.uniform(-1, 1, (3, 1))) for _ in range(3)]
 
         def cell_loss():
             t = Tape()
@@ -84,7 +85,7 @@ def test_gradient_integrity():
         # stacked BiLSTM
         store = ParameterStore()
         net = BiLstm(store, "bi", 2, 3, 2, rng)
-        seq = constant(np.hstack([rng.uniform(-1, 1, (2, 1)) for _ in range(3)]))
+        seq = Tensor(np.hstack([rng.uniform(-1, 1, (2, 1)) for _ in range(3)]))
 
         def bilstm_loss():
             t = Tape()
@@ -96,7 +97,7 @@ def test_gradient_integrity():
         # MLP
         store = ParameterStore()
         mlp = Mlp(store, "mlp", (4, 3, 2), rng)
-        mx = constant(rng.uniform(-1, 1, (4, 1)))
+        mx = Tensor(rng.uniform(-1, 1, (4, 1)))
 
         def mlp_loss():
             t = Tape()
@@ -115,16 +116,17 @@ def test_gradient_integrity():
             w_e=store.add("we", glorot(rng, np.empty((v_dim, 2 * tree_hidden + label_dim)))),
             b_e=store.add("be", np.zeros((v_dim, 1))),
             rel_names=["r0", "r1", "r2"],
+            n_relations=3,
             vocab=SimpleNamespace(root_label="root"),
         )
         words = Sentence(tuple(Token(i, f"w{i}", "N", 0 if i == 1 else 1, "r0") for i in (1, 2, 3)))
-        vecs = constant(np.hstack([rng.uniform(-1, 1, (v_dim, 1)) for _ in range(3)]))
+        vecs = Tensor(np.hstack([rng.uniform(-1, 1, (v_dim, 1)) for _ in range(3)]))
 
         def tree_loss():
             t = Tape()
             pending = init_pending(t, tree, vecs, words)
-            apply_action(t, tree, pending, Action(2, LEFT, 1), [])
-            apply_action(t, tree, pending, Action(1, LEFT, 2), [])
+            apply_action(t, tree, pending, action_index(2, LEFT, 1, 3), [])
+            apply_action(t, tree, pending, action_index(1, LEFT, 2, 3), [])
             return t, t.sum_all(pending[0].enc)
 
         check_gradients(tree_loss, store, rtol=RTOL)
@@ -138,10 +140,9 @@ def test_gradient_integrity():
             vectors = encode_sentence(t, model, sentence)
             pending = init_pending(t, model, vectors, sentence)
             scorer = ActionScorer(t, model)
-            first = scorer.score_tensor(pending, Action(1, LEFT, 0))
-            last = scorer.score_tensor(
-                pending, Action(len(pending) - 1, 1, model.n_relations - 1)
-            )
+            r = model.n_relations
+            first = scorer.score_tensor(pending, action_index(1, LEFT, 0, r))
+            last = scorer.score_tensor(pending, action_index(len(pending) - 1, RIGHT, r - 1, r))
             return t, t.add(first, last)
 
         check_gradients(
@@ -167,9 +168,12 @@ def test_oracle_round_trip():
 
 @criterion("action-space-law", 1)
 def test_action_space_law():
+    # score index k <-> (position, direction, relation) is a bijection onto
+    # the 2R(n-1) actions of an n-item pending list
     for n in range(2, 11):
         for r in range(1, 41):
-            assert len(enumerate_actions(n, r)) == 2 * r * (n - 1)
+            actions = itertools.product(range(1, n), (LEFT, RIGHT), range(r))
+            assert [decode(k, r) for k in range(2 * r * (n - 1))] == list(actions)
 
 
 # 4 ------------------------------------------------------------------
@@ -235,7 +239,7 @@ def test_hinge_matches_exhaustive_on_10000_configurations():
         _, _, got = hinge_margin(scores, valid)
         assert got == expected  # same arithmetic, exact equality required
         tape = Tape()
-        term = hinge_loss(tape, hinge_margin(scores, valid), lambda k: constant([[scores[k]]]))
+        term = hinge_loss(tape, hinge_margin(scores, valid), lambda k: Tensor([[scores[k]]]))
         if expected > 0.0:
             assert term.item() == expected
         else:

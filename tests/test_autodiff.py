@@ -10,7 +10,7 @@ from efdp.autodiff import (
     SerializationError,
     ShapeError,
     Tape,
-    constant,
+    Tensor,
 )
 from efdp.layers import LstmCell
 from helpers import check_gradients
@@ -20,57 +20,57 @@ floats = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 
 def test_forward_values():
     t = Tape()
-    assert np.array_equal(t.tanh(constant([0.0, 0.0, 0.0])).value, np.zeros((3, 1)))
-    x = constant([1.0, -2.0, 3.0])
-    assert np.array_equal(t.matmul(constant(np.eye(3)), x).value, x.value)
-    assert t.logistic(constant([[0.0]])).item() == 0.5
-    c = t.concat(constant([1.0]), constant([2.0, 3.0]))
+    assert np.array_equal(t.tanh(Tensor([0.0, 0.0, 0.0])).value, np.zeros((3, 1)))
+    x = Tensor([1.0, -2.0, 3.0])
+    assert np.array_equal(t.matmul(Tensor(np.eye(3)), x).value, x.value)
+    assert t.logistic(Tensor([[0.0]])).item() == 0.5
+    c = t.concat(Tensor([1.0]), Tensor([2.0, 3.0]))
     assert c.value[:, 0].tolist() == [1.0, 2.0, 3.0]
-    assert t.pick_row(constant([[1.0, 2.0], [3.0, 4.0]]), 1).value[:, 0].tolist() == [3.0, 4.0]
+    assert t.pick_row(Tensor([[1.0, 2.0], [3.0, 4.0]]), 1).value[:, 0].tolist() == [3.0, 4.0]
     assert t.sum_all(x).item() == 2.0
-    assert t.sub(constant([5.0]), constant([2.0])).item() == 3.0
+    assert t.sub(Tensor([5.0]), Tensor([2.0])).item() == 3.0
 
 
 def test_shape_errors_name_the_op():
     t = Tape()
     with pytest.raises(ShapeError, match="matmul"):
-        t.matmul(constant(np.ones((2, 3))), constant(np.ones((2, 3))))
+        t.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
     with pytest.raises(ShapeError, match="add"):
-        t.add(constant([1.0]), constant([1.0, 2.0]))
+        t.add(Tensor([1.0]), Tensor([1.0, 2.0]))
     with pytest.raises(ShapeError, match="add"):
-        t.add(constant([1.0]), constant(np.ones((1, 2))))  # only the right operand broadcasts
+        t.add(Tensor([1.0]), Tensor(np.ones((1, 2))))  # only the right operand broadcasts
     with pytest.raises(ShapeError, match="concat"):
-        t.concat(constant(np.ones((2, 2))), constant(np.ones((2, 1))))
+        t.concat(Tensor(np.ones((2, 2))), Tensor(np.ones((2, 1))))
     with pytest.raises(ShapeError, match="pick_row"):
-        t.pick_row(constant([1.0]), 3)
+        t.pick_row(Tensor([1.0]), 3)
     with pytest.raises(ShapeError, match="pick_row"):
-        t.pick_row(constant(np.ones((2, 3))), [0, 2])
+        t.pick_row(Tensor(np.ones((2, 3))), [0, 2])
     with pytest.raises(ShapeError, match="columns"):
-        t.columns(constant(np.ones((2, 3))), [1, 3])
+        t.columns(Tensor(np.ones((2, 3))), [1, 3])
     with pytest.raises(ShapeError, match="columns"):
-        t.columns(constant(np.ones((2, 3))), slice(3, 4))
+        t.columns(Tensor(np.ones((2, 3))), slice(3, 4))
     with pytest.raises(ShapeError, match="join_columns"):
-        t.join_columns(constant(np.ones((2, 2))), constant(np.ones((3, 2))))
+        t.join_columns(Tensor(np.ones((2, 2))), Tensor(np.ones((3, 2))))
     with pytest.raises(ShapeError, match="lstm_gates"):
-        t.lstm_gates(constant(np.ones((8, 3))), constant(np.ones((2, 2))))
+        t.lstm_gates(Tensor(np.ones((8, 3))), Tensor(np.ones((2, 2))))
 
 
 def test_non_finite_forward_is_an_error():
     t = Tape()
-    huge = constant(np.full((1, 1), 1e308))
+    huge = Tensor(np.full((1, 1), 1e308))
     with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="matmul"):
-        t.matmul(huge, constant([[10.0]]))
+        t.matmul(huge, Tensor([[10.0]]))
     # an overflow before the fused LSTM gates would read as a saturated gate after them
     store = ParameterStore()
     cell = LstmCell(store, "cell", 2, 3, np.random.default_rng(0))
     cell.w_x["input"].value[:] = 1e308
     with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
-        cell.step(Tape(), *cell.initial_state(), constant(np.full((2, 1), 10.0)))
+        cell.step(Tape(), *cell.initial_state(), Tensor(np.full((2, 1), 10.0)))
 
 
 def test_logistic_is_stable_for_large_inputs():
     t = Tape()
-    out = t.logistic(constant([[800.0], [-800.0]]))
+    out = t.logistic(Tensor([[800.0], [-800.0]]))
     assert out.value[0, 0] == pytest.approx(1.0)
     assert out.value[1, 0] == pytest.approx(0.0)
 
@@ -117,7 +117,7 @@ def test_column_batch_gradients_match_finite_differences(op):
     x = store.add("x", rng.uniform(-1, 1, (2, 3)))
     c = store.add("c", rng.uniform(-1, 1, (4, 1)))
     y = store.add("y", rng.uniform(-1, 1, (3, 3)))
-    weights = constant(rng.uniform(-1, 1, (9, 9)))  # so no two output entries share a gradient
+    weights = Tensor(rng.uniform(-1, 1, (9, 9)))  # so no two output entries share a gradient
 
     def build():
         t = Tape()
@@ -136,7 +136,7 @@ def test_column_batch_gradients_match_finite_differences(op):
             h, cell = t.lstm_gates(t.concat(ax, t.scale(ax, -0.7)), x)  # H = 2
             out = t.concat(h, cell)
         rows, cols = out.value.shape
-        return t, t.sum_all(t.pointwise_mul(constant(weights.value[:rows, :cols]), out))
+        return t, t.sum_all(t.pointwise_mul(Tensor(weights.value[:rows, :cols]), out))
 
     check_gradients(build, store)
 
@@ -146,8 +146,8 @@ def test_composite_gradient_matches_finite_differences():
     store = ParameterStore()
     w = store.add("w", rng.uniform(-1, 1, (4, 3)))
     b = store.add("b", rng.uniform(-1, 1, (4, 1)))
-    x = constant(rng.uniform(-1, 1, (3, 1)))
-    target = constant(rng.uniform(-1, 1, (4, 1)))
+    x = Tensor(rng.uniform(-1, 1, (3, 1)))
+    target = Tensor(rng.uniform(-1, 1, (4, 1)))
 
     def build():
         t = Tape()
@@ -162,7 +162,7 @@ def test_shared_weight_gradient_is_the_sum_of_per_call_products():
     rng = np.random.default_rng(3)
     store = ParameterStore()
     w = store.add("w", rng.uniform(-1, 1, (4, 3)))
-    xs = [constant(rng.uniform(-1, 1, (3, k))) for k in (1, 1, 2, 1, 3, 1)]
+    xs = [Tensor(rng.uniform(-1, 1, (3, k))) for k in (1, 1, 2, 1, 3, 1)]
     t = Tape()
     outs = [t.tanh(t.matmul(w, x)) for x in xs]
     loss = t.sum_all(outs[0])
@@ -197,7 +197,7 @@ def test_a_spent_tape_is_freed_without_the_cycle_collector():
     gc.disable()
     try:
         t = Tape()
-        h, _ = cell.step(t, *cell.initial_state(), constant([0.5, -0.5]))
+        h, _ = cell.step(t, *cell.initial_state(), Tensor([0.5, -0.5]))
         t.backward(t.sum_all(h))
         tape = weakref.ref(t)
         del t, h
@@ -225,7 +225,7 @@ def test_unreachable_parameters_keep_zero_grad():
 
 def test_backward_twice_is_an_error():
     t = Tape()
-    loss = t.sum_all(constant([[1.0]]))
+    loss = t.sum_all(Tensor([[1.0]]))
     t.backward(loss)
     with pytest.raises(RuntimeError, match="already ran"):
         t.backward(loss)
@@ -234,15 +234,15 @@ def test_backward_twice_is_an_error():
 def test_backward_requires_scalar_loss():
     t = Tape()
     with pytest.raises(ShapeError):
-        t.backward(t.tanh(constant([1.0, 2.0])))
+        t.backward(t.tanh(Tensor([1.0, 2.0])))
 
 
 def test_tape_determinism():
     def run():
         rng = np.random.default_rng(42)
         t = Tape()
-        a = constant(rng.uniform(-1, 1, (5, 5)))
-        x = constant(rng.uniform(-1, 1, (5, 1)))
+        a = Tensor(rng.uniform(-1, 1, (5, 5)))
+        x = Tensor(rng.uniform(-1, 1, (5, 1)))
         return t.sum_all(t.tanh(t.matmul(a, x))).item()
 
     assert run() == run()
@@ -255,7 +255,7 @@ def test_tape_determinism():
 )
 def test_concat_is_associative(xs, ys, zs):
     t = Tape()
-    a, b, c = constant(xs), constant(ys), constant(zs)
+    a, b, c = Tensor(xs), Tensor(ys), Tensor(zs)
     left = t.concat(a, t.concat(b, c))
     right = t.concat(t.concat(a, b), c)
     assert np.array_equal(left.value, right.value)

@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
 
-from efdp.autodiff import Tape, constant
+from efdp.autodiff import Tape, Tensor
 from efdp.easyfirst import (
     LEFT,
     RIGHT,
-    Action,
     ActionScorer,
     Arc,
     apply_action,
     arcs_to_rows,
-    enumerate_actions,
+    decode,
     format_trace,
     init_pending,
     parse,
@@ -20,7 +19,7 @@ from efdp.config import Config
 from efdp.model import ParserModel
 from efdp.synthetic import random_sentence
 from efdp.treebank import Sentence, Token, is_projective, validate_tree
-from helpers import TINY, tiny_model
+from helpers import TINY, action_index, tiny_model
 
 FIG_FORMS = ["Tôi", "có", "một", "con", "mèo"]
 FIG_POS = ["P", "V", "M", "Nc", "N"]
@@ -51,9 +50,9 @@ class ScriptedScorer:
 
     def scores(self, pending):
         position, direction, rel_label = self.script.pop(0)
-        target = (position, direction, self.rels[rel_label])
-        actions = enumerate_actions(len(pending), self.n_relations)
-        return np.array([10.0 if (a.position, a.direction, a.relation) == target else 0.0 for a in actions])
+        scores = np.zeros(2 * self.n_relations * (len(pending) - 1))
+        scores[action_index(position, direction, self.rels[rel_label], self.n_relations)] = 10.0
+        return scores
 
 
 def manual_lstm_step(cell, h, c, x):
@@ -103,31 +102,18 @@ def test_init_pending_is_deterministic():
 
 
 def test_action_count_formula():
-    assert len(enumerate_actions(5, 2)) == 16
-    assert len(enumerate_actions(2, 1)) == 2
+    assert decode(15, 2) == (4, RIGHT, 1)  # the last of 2R(n-1) = 16 actions for 5 items
     rng = np.random.default_rng(0)
     for _ in range(20):
         n = int(rng.integers(2, 11))
         r = int(rng.integers(1, 41))
-        brute = sum(1 for _ in range(1, n) for _ in range(2) for _ in range(r))
-        assert len(enumerate_actions(n, r)) == brute == 2 * r * (n - 1)
-        for m in range(2, n):  # a shorter pending list enumerates a prefix
-            assert enumerate_actions(m, r) == enumerate_actions(n, r)[: 2 * r * (m - 1)]
+        count = 2 * r * (n - 1)
+        assert [action_index(*decode(k, r), r) for k in range(count)] == list(range(count))
+        assert decode(count, r)[0] == n  # the next index is past the last pair
 
 
-def test_actions_are_shared_and_cannot_be_mutated():
-    first = enumerate_actions(6, 3)
-    assert isinstance(first, tuple)
-    again = enumerate_actions(6, 3)
-    assert again == first and all(a is b for a, b in zip(again, first))  # built once
-    longer = enumerate_actions(9, 3)
-    assert enumerate_actions(6, 3) == longer[: len(first)] == first
-    assert enumerate_actions(2, 3) == longer[:6]
-
-
-def test_enumerate_rejects_finished_parse():
-    with pytest.raises(ValueError):
-        enumerate_actions(1, 3)
+def fig_action(model, position, direction, rel_label):
+    return action_index(position, direction, model.vocab.rels[rel_label], model.n_relations)
 
 
 def test_figure_one_action_sequence():
@@ -139,21 +125,21 @@ def test_figure_one_action_sequence():
 
     meo = pending[4]
     enc_before = meo.enc.value.copy()
-    apply_action(tape, model, pending, Action(4, LEFT, model.vocab.rels["nmod"]), arcs)
+    apply_action(tape, model, pending, fig_action(model, 4, LEFT, "nmod"), arcs)
     assert [p.form for p in pending] == ["Tôi", "có", "một", "mèo"]
     assert (arcs[-1].head, arcs[-1].dep, arcs[-1].rel) == (5, 4, "nmod")
     assert not np.array_equal(meo.enc.value, enc_before)  # re-encoded after attach
 
-    apply_action(tape, model, pending, Action(3, LEFT, model.vocab.rels["det"]), arcs)
+    apply_action(tape, model, pending, fig_action(model, 3, LEFT, "det"), arcs)
     assert [p.form for p in pending] == ["Tôi", "có", "mèo"]
     assert (arcs[-1].head, arcs[-1].dep, arcs[-1].rel) == (5, 3, "det")
     assert [a.dep for a in arcs if a.head == 5] == [4, 3]  # nearest child first
 
-    apply_action(tape, model, pending, Action(2, RIGHT, model.vocab.rels["dobj"]), arcs)
+    apply_action(tape, model, pending, fig_action(model, 2, RIGHT, "dobj"), arcs)
     assert [p.form for p in pending] == ["Tôi", "có"]
     assert (arcs[-1].head, arcs[-1].dep, arcs[-1].rel) == (2, 5, "dobj")
 
-    apply_action(tape, model, pending, Action(1, LEFT, model.vocab.rels["nsubj"]), arcs)
+    apply_action(tape, model, pending, fig_action(model, 1, LEFT, "nsubj"), arcs)
     assert [p.form for p in pending] == ["có"]
     assert (arcs[-1].head, arcs[-1].dep, arcs[-1].rel) == (2, 1, "nsubj")
 
@@ -192,10 +178,11 @@ def test_apply_action_rejects_bad_position():
     tape = Tape()
     vectors = encode_sentence(tape, model, sentence)
     pending = init_pending(tape, model, vectors, sentence)
-    with pytest.raises(ValueError):
-        apply_action(tape, model, pending, Action(5, LEFT, 0), [])
-    with pytest.raises(ValueError):
-        apply_action(tape, model, pending, Action(0, LEFT, 0), [])
+    r = model.n_relations
+    for k in (action_index(5, LEFT, 0, r), action_index(0, LEFT, 0, r), -1, 2 * r * (len(pending) - 1)):
+        with pytest.raises(ValueError):
+            apply_action(tape, model, pending, k, [])
+    assert len(pending) == len(sentence)
 
 
 def arc_set(arcs):
@@ -267,8 +254,8 @@ class EqualScorer:
     def scores(self, pending):
         return np.zeros(2 * self.n_relations * (len(pending) - 1))
 
-    def score_tensor(self, pending, action):
-        return constant([[0.0]])
+    def score_tensor(self, pending, k):
+        return Tensor([[0.0]])
 
 
 def test_tie_break_prefers_low_position_left_low_relation():
@@ -294,14 +281,13 @@ def test_incremental_rescoring_matches_exhaustive():
             vectors = encode_sentence(tape, model, sentence)
             pending = init_pending(tape, model, vectors, sentence)
             scorer = ActionScorer(tape, model)
-            actions = enumerate_actions(len(pending), model.n_relations)
             log = []
             while len(pending) > 1:
                 if fresh_scorer_per_step:  # an empty cache scores every window
                     scorer = ActionScorer(tape, model)
                 scores = scorer.scores(pending)
                 log.append(scores.tolist())
-                apply_action(tape, model, pending, actions[int(np.argmax(scores))], [])
+                apply_action(tape, model, pending, int(np.argmax(scores)), [])
             return log
 
         assert run(False) == run(True)
@@ -328,10 +314,9 @@ def test_score_tensor_agrees_with_scores():
     pending = init_pending(tape, model, vectors, sentence)
     scorer = ActionScorer(tape, model)
     scores = scorer.scores(pending)
-    actions = enumerate_actions(len(pending), model.n_relations)
-    assert len(scores) == len(actions)
-    for action, score in zip(actions, scores):
-        assert scorer.score_tensor(pending, action).item() == pytest.approx(score, abs=1e-12)
+    assert len(scores) == 2 * model.n_relations * (len(pending) - 1)
+    for k, score in enumerate(scores):
+        assert scorer.score_tensor(pending, k).item() == pytest.approx(score, abs=1e-12)
 
 
 def test_trace_line_format():
@@ -351,5 +336,5 @@ def test_format_trace_names_head_and_dependent():
     tape = Tape()
     vectors = encode_sentence(tape, model, sentence)
     pending = init_pending(tape, model, vectors, sentence)
-    line = format_trace(1, Action(4, LEFT, model.vocab.rels["nmod"]), 3.25, pending, model.rel_names)
+    line = format_trace(1, fig_action(model, 4, LEFT, "nmod"), 3.25, pending, model.rel_names)
     assert line.split("\t") == ["1", "4", "LEFT", "nmod", "mèo", "con", "3.2500"]

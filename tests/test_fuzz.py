@@ -2,20 +2,28 @@
 
 Each test starts from a valid input and applies a few random edits
 (replace, insert or delete at a random offset), biased toward the bytes that
-carry each format's structure.
+carry each format's structure. A model's .meta.json is also edited as JSON:
+a value at any path is replaced or deleted before the byte edits.
 """
 
+import copy
+import json
+import os
 import struct
+import tempfile
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from efdp.autodiff import ParameterStore
 from efdp.config import parse_config
+from efdp.easyfirst import parse
 from efdp.errors import EfdpError
+from efdp.model import ParserModel, meta_path
 from efdp.represent import parse_pretrained
 from efdp.synthetic import toy_corpus
 from efdp.treebank import parse_conll, write_conll
+from helpers import tiny_model
 
 CONLL = write_conll(toy_corpus(seed=1, count=3, n_min=2, n_max=4))
 CONFIG = (
@@ -93,3 +101,88 @@ def test_mutated_pretrained_files_raise_only_data_errors(edit_list):
 @given(edits(BYTE_PIECES))
 def test_mutated_model_files_raise_only_data_errors(edit_list):
     only_efdp_errors(small_store().load_bytes, mutate(MODEL, edit_list))
+
+
+def saved_tiny_model():
+    """The parameter blob and the parsed .meta.json of a saved tiny model."""
+    model, _ = tiny_model(seed=4, count=2)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.bin")
+        model.save(path)
+        with open(path, "rb") as f:
+            blob = f.read()
+        with open(meta_path(path), encoding="utf-8") as f:
+            return blob, json.load(f)
+
+
+BLOB, META = saved_tiny_model()
+SENTENCE = toy_corpus(seed=1, count=1, n_min=4, n_max=4)[0]
+
+
+def json_paths(value, path=()):
+    yield path
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from json_paths(item, path + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from json_paths(item, path + (i,))
+
+
+META_PATHS = list(json_paths(META))
+# ints stay small: a dimension of 10**6 would allocate gigabytes before any check
+JSON_VALUES = st.one_of(
+    st.sampled_from([None, True, False, 0, -1, 1, 2, float("nan"), "", "root", "<unk>", [], {}, ["a", "a"]]),
+    st.integers(-3, 40),
+    st.text(max_size=4),
+    st.lists(st.one_of(st.integers(-2, 5), st.text(max_size=2)), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(-2, 5), max_size=2),
+)
+META_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(META_PATHS),
+        st.one_of(st.just(("delete",)), st.just(("duplicate",)), st.tuples(st.just("put"), JSON_VALUES)),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def edit_json(doc, edit_list):
+    """``doc`` with each (path, action) applied: delete the value at the path,
+    append a copy of a list's first entry, or put a new value there."""
+    doc = copy.deepcopy(doc)
+    for path, action in edit_list:
+        if not path:
+            doc = copy.deepcopy(action[1]) if action[0] == "put" else doc
+            continue
+        parent = doc
+        try:
+            for key in path[:-1]:
+                parent = parent[key]
+            current = parent[path[-1]]
+        except (KeyError, IndexError, TypeError):
+            continue  # an earlier edit removed or retyped this path
+        if not isinstance(parent, (dict, list)):
+            continue  # a string put in place of a container also takes an index
+        if action[0] == "delete":
+            del parent[path[-1]]
+        elif action[0] == "duplicate":
+            if isinstance(current, list) and current:
+                current.append(copy.deepcopy(current[0]))
+        else:
+            parent[path[-1]] = copy.deepcopy(action[1])
+    return doc
+
+
+@settings(max_examples=300, deadline=None)  # each example writes two files and builds a model
+@given(META_EDITS, st.one_of(st.just([]), edits(BYTE_PIECES)))
+def test_mutated_meta_files_raise_only_efdp_errors(edit_list, byte_edits):
+    text = mutate(json.dumps(edit_json(META, edit_list)).encode(), byte_edits)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.bin")
+        with open(path, "wb") as f:
+            f.write(BLOB)
+        with open(meta_path(path), "wb") as f:
+            f.write(text)
+        only_efdp_errors(lambda p: parse(SENTENCE, ParserModel.load(p)), path)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from efdp.autodiff import ParameterStore, ShapeError, Tape, constant
+from efdp.autodiff import ParameterStore, ShapeError, Tape, Tensor
 from efdp.layers import GATES, BiLstm, LstmCell, Mlp
 from helpers import check_gradients
 
@@ -23,7 +23,7 @@ def zero_cell(input_size, hidden_size):
 def test_zero_weights_zero_input_gives_zero_state():
     _, cell = zero_cell(3, 4)
     t = Tape()
-    h, c = cell.step(t, *cell.initial_state(), constant(np.zeros((3, 1))))
+    h, c = cell.step(t, *cell.initial_state(), Tensor(np.zeros((3, 1))))
     assert np.array_equal(h.value, np.zeros((4, 1)))
     assert np.array_equal(c.value, np.zeros((4, 1)))
 
@@ -31,7 +31,7 @@ def test_zero_weights_zero_input_gives_zero_state():
 def test_step_output_dims_fixed_by_hidden_size():
     _, cell = make_cell(5, 3)
     t = Tape()
-    h, c = cell.step(t, *cell.initial_state(), constant(np.random.default_rng(1).uniform(-9, 9, (5, 1))))
+    h, c = cell.step(t, *cell.initial_state(), Tensor(np.random.default_rng(1).uniform(-9, 9, (5, 1))))
     assert h.value.shape == (3, 1) and c.value.shape == (3, 1)
 
 
@@ -39,15 +39,15 @@ def test_step_rejects_wrong_input_size():
     _, cell = make_cell(3, 4)
     t = Tape()
     with pytest.raises(ShapeError, match="cell"):
-        cell.step(t, *cell.initial_state(), constant(np.zeros((5, 1))))
+        cell.step(t, *cell.initial_state(), Tensor(np.zeros((5, 1))))
     with pytest.raises(ShapeError, match="lstm_gates"):
-        cell.step(t, cell.initial_state()[0], constant(np.zeros((5, 1))), constant(np.zeros((3, 1))))
+        cell.step(t, cell.initial_state()[0], Tensor(np.zeros((5, 1))), Tensor(np.zeros((3, 1))))
 
 
 def test_gradient_through_three_chained_steps():
     store, cell = make_cell(3, 4, seed=7)
     rng = np.random.default_rng(8)
-    xs = [constant(rng.uniform(-1, 1, (3, 1))) for _ in range(3)]
+    xs = [Tensor(rng.uniform(-1, 1, (3, 1))) for _ in range(3)]
 
     def build():
         t = Tape()
@@ -85,12 +85,12 @@ def test_fused_step_matches_per_gate_reference(input_size, hidden_size, steps, s
         p.value[:] = rng.uniform(-1.5, 1.5, p.value.shape)
     xs = rng.uniform(-1, 1, (steps, input_size, 1))
     h0, c0 = rng.uniform(-1, 1, (2, hidden_size, 1))
-    weights = constant(rng.uniform(-1, 1, ((steps + 1) * hidden_size, 1)))
+    weights = Tensor(rng.uniform(-1, 1, ((steps + 1) * hidden_size, 1)))
 
     def run(step):
         store.zero_grads()
-        inputs = [constant(x) for x in xs]
-        h, c = start = constant(h0), constant(c0)
+        inputs = [Tensor(x) for x in xs]
+        h, c = start = Tensor(h0), Tensor(c0)
         t = Tape()
         hs = []
         for x in inputs:
@@ -128,20 +128,20 @@ def test_saturated_gates_freeze_the_cell_state():
     cell.b["input"].value[:] = -20.0   # input gate ~ 0
     c0 = np.random.default_rng(2).uniform(-1, 1, (3, 1))
     t = Tape()
-    _, c1 = cell.step(t, constant(np.zeros((3, 1))), constant(c0), constant(np.ones((2, 1))))
+    _, c1 = cell.step(t, Tensor(np.zeros((3, 1))), Tensor(c0), Tensor(np.ones((2, 1))))
     assert np.abs(c1.value - c0).max() < 1e-6
 
 
 def columns_of(vectors):
-    """The (d, n) constant whose columns are the given (d, 1) arrays."""
-    return constant(np.hstack(vectors))
+    """The (d, n) tensor whose columns are the given (d, 1) arrays."""
+    return Tensor(np.hstack(vectors))
 
 
 def test_bilstm_single_input_concatenates_one_step_each_way():
     store = ParameterStore()
     rng = np.random.default_rng(3)
     net = BiLstm(store, "bi", 3, 4, 1, rng)
-    x = constant(rng.uniform(-1, 1, (3, 1)))
+    x = Tensor(rng.uniform(-1, 1, (3, 1)))
     t = Tape()
     outputs, f_fin, b_fin = net.run(t, x, [1])
     assert outputs.value.shape == (8, 1)
@@ -167,7 +167,7 @@ def test_reversed_input_swaps_directions_under_shared_weights():
     copy_weights(net.fwd[0], net.bwd[0])
     xs = columns_of([rng.uniform(-1, 1, (3, 1)) for _ in range(5)])
     fwd_out, _, _ = net.run(Tape(), xs, [5])
-    rev_out, _, _ = net.run(Tape(), constant(xs.value[:, ::-1]), [5])
+    rev_out, _, _ = net.run(Tape(), Tensor(xs.value[:, ::-1]), [5])
     for i in range(5):
         a = fwd_out.value[:, i]
         b = rev_out.value[:, 4 - i]
@@ -187,11 +187,11 @@ def test_bilstm_rejects_empty_input():
     store = ParameterStore()
     net = BiLstm(store, "bi", 3, 4, 1, np.random.default_rng(0))
     with pytest.raises(ValueError, match="empty"):
-        net.run(Tape(), constant(np.zeros((3, 0))), [])
+        net.run(Tape(), Tensor(np.zeros((3, 0))), [])
     with pytest.raises(ValueError, match="empty"):
-        net.run(Tape(), constant(np.zeros((3, 4))), [2, 0])
+        net.run(Tape(), Tensor(np.zeros((3, 4))), [2, 0])
     with pytest.raises(ShapeError, match="bi"):
-        net.run(Tape(), constant(np.zeros((3, 5))), [2, 2])
+        net.run(Tape(), Tensor(np.zeros((3, 5))), [2, 2])
 
 
 def test_stacked_bilstm_gradients():
@@ -228,12 +228,12 @@ def assert_close(got, want, **kwargs):
 def run_bilstm_and_backprop(net, store, x, lengths, out_weights, fin_weights):
     """Outputs, final states and every gradient of one weighted-sum loss over a batched run."""
     store.zero_grads()
-    x = constant(x)
+    x = Tensor(x)
     t = Tape()
     outputs, f_fin, b_fin = net.run(t, x, lengths)
     finals = t.concat(f_fin, b_fin)
-    loss = t.add(t.sum_all(t.pointwise_mul(constant(out_weights), outputs)),
-                 t.sum_all(t.pointwise_mul(constant(fin_weights), finals)))
+    loss = t.add(t.sum_all(t.pointwise_mul(Tensor(out_weights), outputs)),
+                 t.sum_all(t.pointwise_mul(Tensor(fin_weights), finals)))
     t.backward(loss)
     grads = {name: p.grad.copy() for name, p in store.items()}
     return outputs.value, finals.value, x.grad, grads
@@ -285,7 +285,7 @@ def test_mlp_zero_weights_give_zero_output():
     mlp = Mlp(store, "m", (4, 3, 2), np.random.default_rng(0))
     for _, p in store.items():
         p.value[:] = 0.0
-    out = mlp.apply(Tape(), constant(np.ones((4, 1))))
+    out = mlp.apply(Tape(), Tensor(np.ones((4, 1))))
     assert np.array_equal(out.value, np.zeros((2, 1)))
 
 
@@ -295,7 +295,7 @@ def test_mlp_output_sizes_for_both_scorers():
     n_relations = 13
     unlabeled = Mlp(store, "u", (10, 5, 2), rng)
     labeled = Mlp(store, "r", (10, 5, 2 * n_relations), rng)
-    x = constant(rng.uniform(-1, 1, (10, 1)))
+    x = Tensor(rng.uniform(-1, 1, (10, 1)))
     assert unlabeled.apply(Tape(), x).value.shape == (2, 1)
     assert labeled.apply(Tape(), x).value.shape == (26, 1)
 
@@ -304,7 +304,7 @@ def test_single_linear_layer_equals_matmul_plus_bias():
     store = ParameterStore()
     rng = np.random.default_rng(2)
     mlp = Mlp(store, "m", (3, 3), rng)
-    x = constant(rng.uniform(-1, 1, (3, 1)))
+    x = Tensor(rng.uniform(-1, 1, (3, 1)))
     t = Tape()
     manual = t.add(t.matmul(store["m/layer0/W"], x), store["m/layer0/b"])
     assert np.array_equal(mlp.apply(Tape(), x).value, manual.value)
@@ -314,7 +314,7 @@ def test_mlp_gradients():
     store = ParameterStore()
     rng = np.random.default_rng(3)
     mlp = Mlp(store, "m", (3, 4, 2), rng)
-    x = constant(rng.uniform(-1, 1, (3, 1)))
+    x = Tensor(rng.uniform(-1, 1, (3, 1)))
 
     def build():
         t = Tape()
@@ -327,4 +327,4 @@ def test_mlp_rejects_wrong_input_width():
     store = ParameterStore()
     mlp = Mlp(store, "m", (3, 2), np.random.default_rng(0))
     with pytest.raises(ShapeError, match="m"):
-        mlp.apply(Tape(), constant(np.zeros((4, 1))))
+        mlp.apply(Tape(), Tensor(np.zeros((4, 1))))

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import logging
 import re
 
@@ -6,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from efdp.autodiff import ParameterStore, Tape, constant
-from efdp.easyfirst import LEFT, RIGHT, Action, enumerate_actions, head_and_dep
+from efdp.autodiff import ParameterStore, Tape, Tensor
+from efdp.easyfirst import LEFT, RIGHT, decode, head_and_dep
 from efdp.oracle import OracleState, Trainer, hinge_loss, hinge_margin, is_valid, train
 from efdp.synthetic import grammar_corpus, random_sentence
 from efdp.treebank import Sentence, Token
@@ -27,9 +28,25 @@ def sim_pending(sentence):
 
 
 def sim_apply(pending, action):
-    head, dep = head_and_dep(pending, action)
+    position, direction, _ = action
+    head, dep = head_and_dep(pending, position, direction)
     pending.remove(dep)
     return head.head_index, dep.head_index
+
+
+def candidates(pending, n_relations):
+    """Every (position, direction, relation) for a pending list, in score order."""
+    return list(itertools.product(range(1, len(pending)), (LEFT, RIGHT), range(n_relations)))
+
+
+def state_of(sentence, rels, pending):
+    """The oracle state is a function of which tokens are still pending."""
+    state = OracleState(sentence, rels)
+    present = {p.head_index for p in pending}
+    for t in sentence:
+        if t.index not in present:
+            state.on_attach(t.index)
+    return state
 
 
 def rel_index(sentence):
@@ -45,13 +62,13 @@ def test_figure_one_initial_validity():
     state = OracleState(sentence, rels)
     pending = sim_pending(sentence)
     # attaching "con" under "mèo" with nmod matches gold and con is a leaf
-    assert is_valid(Action(4, LEFT, rels["nmod"]), state, pending)
+    assert is_valid(4, LEFT, rels["nmod"], state, pending)
     # wrong direction for the subject pair
-    assert not is_valid(Action(1, RIGHT, rels["nsubj"]), state, pending)
+    assert not is_valid(1, RIGHT, rels["nsubj"], state, pending)
     # right pair and relation, but "mèo" still has unattached children
-    assert not is_valid(Action(2, RIGHT, rels["dobj"]), state, pending)
+    assert not is_valid(2, RIGHT, rels["dobj"], state, pending)
     # right arc, wrong relation
-    assert not is_valid(Action(4, LEFT, rels["det"]), state, pending)
+    assert not is_valid(4, LEFT, rels["det"], state, pending)
 
 
 def test_modifier_completeness_unblocks_after_children_attach():
@@ -59,11 +76,11 @@ def test_modifier_completeness_unblocks_after_children_attach():
     rels = rel_index(sentence)
     state = OracleState(sentence, rels)
     pending = sim_pending(sentence)
-    for action in (Action(4, LEFT, rels["nmod"]), Action(3, LEFT, rels["det"])):
-        assert is_valid(action, state, pending)
+    for action in ((4, LEFT, rels["nmod"]), (3, LEFT, rels["det"])):
+        assert is_valid(*action, state, pending)
         _, dep = sim_apply(pending, action)
         state.on_attach(dep)
-    assert is_valid(Action(2, RIGHT, rels["dobj"]), state, pending)
+    assert is_valid(2, RIGHT, rels["dobj"], state, pending)
 
 
 def test_orphaned_modifier_may_attach_anywhere_with_gold_relation():
@@ -78,12 +95,12 @@ def test_orphaned_modifier_may_attach_anywhere_with_gold_relation():
     state = OracleState(sentence, rels)
     pending = sim_pending(sentence)
     # mistake: attach the root token under y, removing token 3 from pending
-    _, dep = sim_apply(pending, Action(2, RIGHT, rels["b"]))
+    _, dep = sim_apply(pending, (2, RIGHT, rels["b"]))
     state.on_attach(dep)
     assert [p.head_index for p in pending] == [1, 2]
     # token 1 lost its gold head: any head is fine if the relation is gold
-    assert is_valid(Action(1, LEFT, rels["a"]), state, pending)
-    assert not is_valid(Action(1, LEFT, rels["b"]), state, pending)
+    assert is_valid(1, LEFT, rels["a"], state, pending)
+    assert not is_valid(1, LEFT, rels["b"], state, pending)
 
 
 def test_root_headed_tokens_are_never_orphaned():
@@ -93,9 +110,9 @@ def test_root_headed_tokens_are_never_orphaned():
     state = OracleState(sentence, rels)
     pending = sim_pending(sentence)
     # RIGHT would absorb the root-headed token; gold never allows it
-    assert not is_valid(Action(1, RIGHT, rels["root"]), state, pending)
-    assert not is_valid(Action(1, RIGHT, rels["a"]), state, pending)
-    assert is_valid(Action(1, LEFT, rels["a"]), state, pending)
+    assert not is_valid(1, RIGHT, rels["root"], state, pending)
+    assert not is_valid(1, RIGHT, rels["a"], state, pending)
+    assert is_valid(1, LEFT, rels["a"], state, pending)
 
 
 def oracle_rollout(sentence, rng):
@@ -106,15 +123,11 @@ def oracle_rollout(sentence, rng):
     pending = sim_pending(sentence)
     arcs = set()
     while len(pending) > 1:
-        valid = [
-            a
-            for a in enumerate_actions(len(pending), len(rels))
-            if is_valid(a, state, pending)
-        ]
+        valid = [a for a in candidates(pending, len(rels)) if is_valid(*a, state, pending)]
         assert valid, "oracle offered no valid action"
         choice = valid[int(rng.integers(0, len(valid)))]
         head, dep = sim_apply(pending, choice)
-        arcs.add((head, dep, names[choice.relation]))
+        arcs.add((head, dep, names[choice[2]]))
         state.on_attach(dep)
     arcs.add((0, pending[0].head_index, "root"))
     return arcs
@@ -139,15 +152,11 @@ def test_valid_actions_are_sound_when_gold_head_is_live():
         state = OracleState(sentence, rels)
         pending = sim_pending(sentence)
         while len(pending) > 1:
-            valid = [
-                a
-                for a in enumerate_actions(len(pending), len(rels))
-                if is_valid(a, state, pending)
-            ]
-            for a in valid:
-                head, dep = head_and_dep(pending, a)
+            valid = [a for a in candidates(pending, len(rels)) if is_valid(*a, state, pending)]
+            for position, direction, relation in valid:
+                head, dep = head_and_dep(pending, position, direction)
                 m = dep.head_index
-                assert state.gold_rel[m] == a.relation
+                assert state.gold_rel[m] == relation
                 if not state.orphaned(m):
                     assert state.gold_head[m] == head.head_index
             choice = valid[int(rng.integers(0, len(valid)))]
@@ -174,8 +183,8 @@ def test_every_reachable_state_offers_a_valid_action(data):
     state = OracleState(sentence, rels)
     pending = sim_pending(sentence)
     while len(pending) > 1:
-        actions = enumerate_actions(len(pending), len(rels))
-        valid = np.array([is_valid(a, state, pending) for a in actions])
+        actions = candidates(pending, len(rels))
+        valid = np.array([is_valid(*a, state, pending) for a in actions])
         assert valid.any(), "oracle offered no valid action"
         hinge_margin(np.zeros(len(actions)), valid)
         # follow any action, valid or not, into the next state
@@ -190,14 +199,14 @@ def scored(scores, valid):
     return np.array(scores, dtype=float), np.array(valid)
 
 
-def constant_at(scores):
-    return lambda k: constant([[scores[k]]])
+def score_at(scores):
+    return lambda k: Tensor([[scores[k]]])
 
 
 def test_margin_satisfied_returns_none():
     scores, valid = scored([3.0, 1.5], [True, False])
     t = Tape()
-    assert hinge_loss(t, hinge_margin(scores, valid), constant_at(scores)) is None
+    assert hinge_loss(t, hinge_margin(scores, valid), score_at(scores)) is None
 
 
 def test_tied_scores_cost_exactly_the_margin():
@@ -207,13 +216,13 @@ def test_tied_scores_cost_exactly_the_margin():
     # among equal scores the first valid and the first invalid index win
     assert hinge_margin(*scored([2.0] * 4, [False, True, False, True])) == (1, 0, 1.0)
     t = Tape()
-    term = hinge_loss(t, hinge_margin(scores, valid), constant_at(scores))
+    term = hinge_loss(t, hinge_margin(scores, valid), score_at(scores))
     assert term.item() == 1.0
 
 
 def test_no_invalid_actions_means_no_loss():
     scores, valid = scored([0.5, 0.2], [True, True])
-    assert hinge_loss(Tape(), hinge_margin(scores, valid), constant_at(scores)) is None
+    assert hinge_loss(Tape(), hinge_margin(scores, valid), score_at(scores)) is None
 
 
 def test_no_valid_action_is_an_internal_error():
@@ -242,7 +251,7 @@ def test_hinge_matches_brute_force_on_random_configurations():
         scores, valid = scored(scores, valid)
         _, _, got = hinge_margin(scores, valid)
         assert got == pytest.approx(expected, abs=0.0)
-        term = hinge_loss(Tape(), hinge_margin(scores, valid), constant_at(scores))
+        term = hinge_loss(Tape(), hinge_margin(scores, valid), score_at(scores))
         if expected > 0 and any(not v for v in valid):
             assert term.item() == pytest.approx(expected, abs=0.0)
         else:
@@ -272,18 +281,15 @@ class OmniscientScorer:
         self.sentence = sentence
 
     def scores(self, pending):
-        # the oracle state is a function of which tokens are still pending
-        state = OracleState(self.sentence, self.model.vocab.rels)
-        present = {p.head_index for p in pending}
-        for t in self.sentence:
-            if t.index not in present:
-                state.on_attach(t.index)
-        actions = enumerate_actions(len(pending), self.model.n_relations)
-        self.score_of = {a: 10.0 if is_valid(a, state, pending) else 0.0 for a in actions}
-        return np.array(list(self.score_of.values()))
+        state = state_of(self.sentence, self.model.vocab.rels, pending)
+        self.last = np.array([
+            10.0 if is_valid(*a, state, pending) else 0.0
+            for a in candidates(pending, self.model.n_relations)
+        ])
+        return self.last
 
-    def score_tensor(self, pending, action):
-        return constant([[self.score_of[action]]])
+    def score_tensor(self, pending, k):
+        return Tensor([[self.last[k]]])
 
 
 def test_zero_loss_model_never_updates():
@@ -302,6 +308,34 @@ def test_zero_loss_model_never_updates():
     assert trainer.updates == 0
     assert trainer.losses == []
     assert model.store.to_bytes() == before
+
+
+def test_trainer_scores_actions_in_decode_order():
+    # the trainer's mask must list candidates in ``decode`` order: the best
+    # valid index it takes a loss term for must decode to a valid action,
+    # and the best invalid index to an invalid one
+    model, corpus = tiny_model(seed=23, count=8)
+    rng = np.random.default_rng(3)
+    judged = []
+
+    class RandomScorer:
+        def __init__(self, sentence):
+            self.sentence = sentence
+
+        def scores(self, pending):
+            self.last = rng.uniform(-1, 1, 2 * model.n_relations * (len(pending) - 1))
+            return self.last
+
+        def score_tensor(self, pending, k):
+            state = state_of(self.sentence, model.vocab.rels, pending)
+            judged.append(is_valid(*decode(k, model.n_relations), state, pending))
+            return Tensor([[self.last[k]]])
+
+    trainer = Trainer(model, scorer_factory=lambda tape, m, s: RandomScorer(s))
+    for sentence in corpus:
+        trainer.train_sentence(sentence)
+    assert len(judged) >= 20
+    assert judged == [True, False] * (len(judged) // 2)
 
 
 def test_error_window_triggers_exactly_one_update_past_threshold():
@@ -331,19 +365,19 @@ def test_exploration_follows_confident_invalid_choice_without_loss():
             self.n_relations = m.n_relations
 
         def scores(self, pending):
-            actions = enumerate_actions(len(pending), self.n_relations)
+            actions = candidates(pending, self.n_relations)
             state = OracleState(sentence, model.vocab.rels)
             # score one clearly invalid action sky-high on the first call only
-            self.score_of = dict.fromkeys(actions, 0.0)
+            self.last = np.zeros(len(actions))
             if len(pending) == 5:
-                for a in actions:
-                    if not is_valid(a, state, pending):
-                        self.score_of[a] = 99.0
+                for k, a in enumerate(actions):
+                    if not is_valid(*a, state, pending):
+                        self.last[k] = 99.0
                         break
-            return np.array(list(self.score_of.values()))
+            return self.last
 
-        def score_tensor(self, pending, action):
-            return constant([[self.score_of[action]]])
+        def score_tensor(self, pending, k):
+            return Tensor([[self.last[k]]])
 
     assert model.config.explore
     explorer = Trainer(model, scorer_factory=lambda tape, m, s: OverconfidentScorer(m))
