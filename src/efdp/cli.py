@@ -11,7 +11,7 @@ import sys
 from . import evaluate, treebank
 from .config import Config, load_config
 from .easyfirst import arcs_to_rows, parse
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, EfdpError
 from .model import ParserModel
 from .oracle import train
 from .represent import build_vocab, load_pretrained
@@ -19,14 +19,16 @@ from .represent import build_vocab, load_pretrained
 log = logging.getLogger("efdp")
 
 
-class _ArgumentParser(argparse.ArgumentParser):
+class ArgumentParser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are ``ConfigError``s (exit 1)."""
+
     def error(self, message):
         self.print_usage(sys.stderr)
         raise ConfigError(message)
 
 
 def _build_argparser():
-    top = _ArgumentParser(prog="efdp", description="easy-first dependency parser")
+    top = ArgumentParser(prog="efdp", description="easy-first dependency parser")
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -86,10 +88,11 @@ def _require(cfg, name):
     return value
 
 
-def _load_table(cfg):
-    if not cfg.use_pretrained:
-        return None
-    return load_pretrained(_require(cfg, "pretrained"))
+def _load_model(cfg) -> ParserModel:
+    """The model at ``cfg.model``; its meta file decides whether the embedding
+    file is needed, so the file is read whenever a path is given."""
+    table = load_pretrained(cfg.pretrained) if cfg.pretrained else None
+    return ParserModel.load(_require(cfg, "model"), pretrained=table)
 
 
 def cmd_train(cfg: Config) -> int:
@@ -101,7 +104,7 @@ def cmd_train(cfg: Config) -> int:
         if cfg.test_size >= len(corpus):
             raise ConfigError(f"test size {cfg.test_size} leaves none of {len(corpus)} sentences to train on")
         corpus, dev = treebank.split_train_test(corpus, cfg.test_size)
-    table = _load_table(cfg)
+    table = load_pretrained(_require(cfg, "pretrained")) if cfg.use_pretrained else None
     projective, dropped = treebank.filter_projective(corpus)
     if dropped:
         log.info("excluded %d non-projective sentences from training", dropped)
@@ -121,8 +124,7 @@ def cmd_train(cfg: Config) -> int:
 
 
 def cmd_parse(cfg: Config, input_path: str, output_path: str) -> int:
-    table = _load_table(cfg)
-    model = ParserModel.load(_require(cfg, "model"), pretrained=table)
+    model = _load_model(cfg)
     sentences = treebank.read_conll(input_path, validate=False)
     text = treebank.write_conll(sentences, [arcs_to_rows(parse(s, model), len(s)) for s in sentences])
     if output_path == "-":
@@ -133,22 +135,25 @@ def cmd_parse(cfg: Config, input_path: str, output_path: str) -> int:
     return 0
 
 
-def cmd_eval(gold_path: str, predicted_path: str, exclude_punct: bool, punct_tags: str) -> int:
-    gold = treebank.read_conll(gold_path)
+def score_file(gold, predicted_path: str, exclude_punct: bool, punct_tags: str) -> evaluate.EvalResult:
+    """Scores the treebank at ``predicted_path`` against the ``gold`` sentences."""
     predicted = treebank.read_conll(predicted_path)
     for si, (g, p) in enumerate(zip(gold, predicted)):
         if [t.form for t in g] != [t.form for t in p]:
             raise DataError(f"sentence {si + 1}: predicted word forms differ from gold")
     rows = [[(t.head, t.deprel) for t in sentence] for sentence in predicted]
-    result = evaluate.score(gold, rows, exclude_punct=exclude_punct, punct_tags=punct_tags)
+    return evaluate.score(gold, rows, exclude_punct=exclude_punct, punct_tags=punct_tags)
+
+
+def cmd_eval(gold_path: str, predicted_path: str, exclude_punct: bool, punct_tags: str) -> int:
+    result = score_file(treebank.read_conll(gold_path), predicted_path, exclude_punct, punct_tags)
     sys.stdout.write(f"UAS {result.uas:.2f} LAS {result.las:.2f}\n")
     return 0
 
 
 def cmd_trace(cfg: Config, input_path: str, index: int, out=None, scorer=None) -> int:
     out = out or sys.stdout
-    table = _load_table(cfg)
-    model = ParserModel.load(_require(cfg, "model"), pretrained=table)
+    model = _load_model(cfg)
     sentences = treebank.read_conll(input_path, validate=False)
     if not 0 <= index < len(sentences):
         raise DataError(f"sentence index {index} out of range ({len(sentences)} sentences)")
@@ -156,6 +161,12 @@ def cmd_trace(cfg: Config, input_path: str, index: int, out=None, scorer=None) -
     arcs = parse(sentence, model, scorer=scorer, trace=lambda line: out.write(line + "\n"))
     out.write(treebank.write_conll([sentence], [arcs_to_rows(arcs, len(sentence))]))
     return 0
+
+
+def report(error: Exception) -> int:
+    """Prints ``error`` as one ``error:`` line and returns its exit code."""
+    print(f"error: {error}", file=sys.stderr)
+    return 2 if isinstance(error, DataError) else 1
 
 
 def main(argv=None) -> int:
@@ -172,15 +183,8 @@ def main(argv=None) -> int:
         if args.command == "trace":
             return cmd_trace(_resolve_config(args), args.input, args.index)
         raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except DataError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:  # a path that cannot be read or written
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    except (EfdpError, OSError) as e:  # OSError: a path that cannot be read or written
+        return report(e)
 
 
 if __name__ == "__main__":

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ConfigError, read_text
-from .evaluate import PUNCT_TAGS
 
 # model dimensions, each a positive integer
 DIMS = ("word_dim", "pos_dim", "vprime_dim", "sent_hidden", "sent_layers", "char_dim",
@@ -39,7 +38,6 @@ class Config:
     tree_hidden: int = 100
     label_dim: int = 25
     mlp_hidden: int = 100
-    pretrained_dim: Optional[int] = None
     # optimizer
     lr: float = 1e-3
     beta1: float = 0.9
@@ -51,9 +49,6 @@ class Config:
     error_batch: int = 50  # update once accumulated errors exceed this
     min_word_freq: int = 1
     test_size: Optional[int] = None  # hold out the last N sentences of train
-    # evaluation
-    exclude_punct: bool = False
-    punct_tags: str = PUNCT_TAGS  # comma-separated
 
     def validate(self) -> None:
         for name in DIMS:

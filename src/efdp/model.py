@@ -6,7 +6,6 @@ to rebuild the network before loading values into it.
 """
 
 import contextlib
-import dataclasses
 import json
 import os
 
@@ -21,23 +20,17 @@ from .represent import PretrainedTable, Vocab
 
 META_VERSION = 1
 
-# architecture fields that must match between training and loading
-ARCH_FIELDS = ("use_char", "use_pretrained", *DIMS, "pretrained_dim")
+# architecture fields that must match between training and loading; the
+# meta file's arch also holds ``pretrained_dim``, which the embedding file owns
+ARCH_FIELDS = ("use_char", "use_pretrained", *DIMS)
 
 
 class ParserModel:
     """All trainable parameters plus hyperparameters and vocabularies."""
 
     def __init__(self, config: Config, vocab: Vocab, pretrained: PretrainedTable = None):
-        if config.use_pretrained:
-            if pretrained is None:
-                raise ConfigError("use_pretrained is set but no pretrained table was given")
-            if config.pretrained_dim is not None and config.pretrained_dim != pretrained.dim:
-                raise ConfigError(
-                    f"pretrained table has dimension {pretrained.dim}, "
-                    f"config expects {config.pretrained_dim}"
-                )
-            config = dataclasses.replace(config, pretrained_dim=pretrained.dim)
+        if config.use_pretrained and pretrained is None:
+            raise ConfigError("use_pretrained is set but no pretrained table was given")
         self.config = config
         self.vocab = vocab
         self.pretrained = pretrained
@@ -98,7 +91,10 @@ class ParserModel:
         """
         meta = {
             "meta_version": META_VERSION,
-            "arch": {name: getattr(self.config, name) for name in ARCH_FIELDS},
+            "arch": {
+                **{name: getattr(self.config, name) for name in ARCH_FIELDS},
+                "pretrained_dim": self.pretrained.dim if self.config.use_pretrained else None,
+            },
             "vocab": self.vocab.to_meta(),
         }
         tmp_bin, tmp_meta = path + ".tmp", meta_path(path) + ".tmp"
@@ -126,14 +122,19 @@ class ParserModel:
         if version != META_VERSION:
             raise DataError(f"unsupported model metadata version {version}")
         try:
-            cfg = Config(**meta["arch"])
+            arch = {**meta["arch"]}  # a TypeError unless arch is a mapping
+            dim = arch.pop("pretrained_dim", None)
+            cfg = Config(**arch)
             cfg.validate()
         except ConfigError as e:  # a setting out of range is damage to the file
             raise DataError(f"malformed model metadata {meta_path(path)}: {e}") from None
         except (KeyError, TypeError) as e:
             raise DataError(f"malformed model metadata {meta_path(path)}: {e!r}") from None
-        if cfg.use_pretrained and pretrained is None:
-            raise ConfigError("model was trained with pretrained embeddings; pass the embedding file")
+        if cfg.use_pretrained:
+            if pretrained is None:
+                raise ConfigError("model was trained with pretrained embeddings; pass the embedding file")
+            if dim != pretrained.dim:
+                raise ConfigError(f"embedding file has dimension {pretrained.dim}, the model expects {dim}")
         try:
             model = cls(cfg, Vocab.from_meta(meta["vocab"]), pretrained=pretrained)
         except (KeyError, TypeError, ValueError, MemoryError) as e:  # dims come from the file

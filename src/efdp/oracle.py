@@ -8,13 +8,14 @@ mistake, in which case any head is acceptable as long as the relation matches
 gold. Tokens whose gold head is the artificial root are never treated as
 orphaned; the surviving item is attached to the root at the end regardless.
 
-Training follows the parser's own trajectory: when the best-scoring action
-overall beats the best valid action by more than the margin, the model's
-(invalid) choice is applied so later steps see error states; otherwise the
-best valid action is applied, and a margin-violation term
-1 - score(best valid) + score(best invalid) is accumulated when positive.
-Once more than ``error_batch`` terms have accumulated, the summed loss is
-backpropagated once and the parameters take an Adam step.
+Training follows the parser's own trajectory. At every step a
+margin-violation term 1 - score(best valid) + score(best invalid) joins the
+error window when positive. Exploration then decides only which action is
+applied: when the best invalid action beats the best valid one by more than
+the margin, the model's (invalid) choice is applied so later steps see error
+states; otherwise the best valid action is. Once more than ``error_batch``
+terms have accumulated, the summed loss is backpropagated once and the
+parameters take an Adam step.
 """
 
 import logging
@@ -159,18 +160,12 @@ class Trainer:
                 for i in range(1, len(pending)) for d in (LEFT, RIGHT) for r in relations
             ])
             margin = best_valid, best_invalid, loss = hinge_margin(scores, valid)
-            if (
-                self.explore
-                and best_invalid is not None
-                and scores[best_invalid] > 1.0 + scores[best_valid]
-            ):
+            if loss > 0.0:  # charged whichever action is applied
+                self.losses.append(hinge_loss(tape, margin, lambda k: scorer.score_tensor(pending, k)))
+                sentence_loss += loss
+            choice = best_valid
+            if self.explore and best_invalid is not None and scores[best_invalid] > 1.0 + scores[best_valid]:
                 choice = best_invalid  # follow the model into the error state
-            else:
-                choice = best_valid
-                if loss > 0.0:
-                    term = hinge_loss(tape, margin, lambda k: scorer.score_tensor(pending, k))
-                    self.losses.append(term)
-                    sentence_loss += loss
             apply_action(tape, model, pending, choice, arcs)
             state.on_attach(arcs[-1].dep)
             if len(self.losses) > self.error_batch:

@@ -8,9 +8,10 @@ import pytest
 from efdp import cli
 from efdp.autodiff import FORMAT_VERSION, MAGIC
 from efdp.config import Config, parse_config
+from efdp.easyfirst import arcs_to_rows, parse
 from efdp.errors import ConfigError, DataError
 from efdp.model import ParserModel, meta_path
-from efdp.represent import build_vocab, parse_pretrained
+from efdp.represent import build_vocab, load_pretrained, parse_pretrained
 from efdp.synthetic import grammar_corpus, toy_corpus
 from efdp.treebank import Sentence, read_conll, write_conll, write_conll_file
 from helpers import TINY, tiny_model
@@ -334,6 +335,13 @@ def _edit_arch(path, key, value):
     meta_file.write_text(json.dumps(meta), encoding="utf-8")
 
 
+def _arch_as_string(path):
+    meta_file = path.parent / meta_path(path.name)
+    meta = json.loads(meta_file.read_text(encoding="utf-8"))
+    meta["arch"] = "use_char"
+    meta_file.write_text(json.dumps(meta), encoding="utf-8")
+
+
 def _zero_tree_hidden(path):
     _edit_arch(path, "tree_hidden", 0)
 
@@ -373,7 +381,7 @@ def _root_label_not_a_string(path):
     "damage",
     [_bad_meta_json, _meta_without_arch, _non_utf8_parameter_name, _dims_overflowing_64_bits,
      _zero_dim_beside_huge_dims, _non_finite_value, _empty_relations, _duplicate_relations,
-     _relations_as_string, _root_label_not_a_string, _zero_tree_hidden, _zero_sent_hidden],
+     _relations_as_string, _root_label_not_a_string, _zero_tree_hidden, _zero_sent_hidden, _arch_as_string],
 )
 def test_malformed_model_files_are_data_errors(tmp_path, capsys, damage):
     model, corpus = tiny_model(seed=4)
@@ -399,6 +407,65 @@ def test_a_pretrained_model_without_its_embedding_file_is_a_config_error(tmp_pat
     assert run(["parse", "--model", path, "--input", tmp_path / "in.conll",
                 "--output", tmp_path / "out.conll"]) == 1
     assert_one_line_error(capsys)
+
+
+@pytest.fixture()
+def pretrained_workdir(workdir):
+    """``workdir`` plus ``model.bin`` trained by `efdp train --use-pretrained`
+    on 3-dimensional vectors (``vec.txt``) and a 2-dimensional file (``vec2.txt``)."""
+    forms = sorted({t.form for s in read_conll(str(workdir / "train.conll")) for t in s})
+    (workdir / "vec.txt").write_text(
+        "".join(f"{f} 0.{i % 7} -0.{i % 5} 0.{i % 3}\n" for i, f in enumerate(forms)), encoding="utf-8")
+    (workdir / "vec2.txt").write_text("".join(f"{f} 0.5 -0.5\n" for f in forms), encoding="utf-8")
+    assert run(["train", "--config", workdir / "efdp.cfg", "--use-pretrained",
+                "--pretrained", workdir / "vec.txt"]) == 0
+    return workdir
+
+
+def test_parse_and_trace_take_the_embedding_file_a_model_needs(pretrained_workdir, capsys):
+    d = pretrained_workdir
+    model = ParserModel.load(str(d / "model.bin"), pretrained=load_pretrained(str(d / "vec.txt")))
+    sentences = read_conll(str(d / "train.conll"))
+    steps = []
+    traced = parse(sentences[1], model, trace=steps.append)
+    capsys.readouterr()
+    # no config file: the model's meta file says that it needs the embeddings
+    given = ["--model", d / "model.bin", "--pretrained", d / "vec.txt", "--input", d / "train.conll"]
+    assert run(["parse", *given, "--output", "-"]) == 0
+    assert capsys.readouterr().out == write_conll(
+        sentences, [arcs_to_rows(parse(s, model), len(s)) for s in sentences])
+    assert run(["trace", *given, "--index", 1]) == 0
+    assert capsys.readouterr().out == "".join(line + "\n" for line in steps) + write_conll(
+        sentences[1:2], [arcs_to_rows(traced, len(sentences[1]))])
+
+
+@pytest.mark.parametrize("command", ["parse", "trace"])
+@pytest.mark.parametrize("vectors, message", [(None, "pass the embedding file"), ("vec2.txt", "dimension 2")])
+def test_a_pretrained_model_needs_its_embedding_file_at_its_dimension(
+        pretrained_workdir, capsys, command, vectors, message):
+    d = pretrained_workdir
+    table = load_pretrained(str(d / vectors)) if vectors else None
+    with pytest.raises(ConfigError, match=message):
+        ParserModel.load(str(d / "model.bin"), pretrained=table)
+    argv = [command, "--model", d / "model.bin", "--input", d / "train.conll"]
+    argv += ["--pretrained", d / vectors] if vectors else []
+    argv += ["--output", d / "out.conll"] if command == "parse" else []
+    capsys.readouterr()
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("line", ["exclude_punct = true", "punct_tags = CH", "pretrained_dim = 3"])
+def test_settings_owned_elsewhere_are_unknown_config_keys(workdir, capsys, line):
+    # punctuation belongs to `efdp eval`'s flags, the embedding dimension to its file
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_config(line + "\n")
+    cfg = workdir / "owned.cfg"
+    cfg.write_text((workdir / "efdp.cfg").read_text() + line + "\n", encoding="utf-8")
+    assert run(["train", "--config", cfg]) == 1
+    assert_one_line_error(capsys)
+    assert not (workdir / "model.bin").exists()
 
 
 def test_a_failed_save_leaves_the_previous_pair(tmp_path, monkeypatch):

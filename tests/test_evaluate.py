@@ -158,6 +158,14 @@ def test_condition_columns_and_records():
     assert delta == pytest.approx(1.29)
 
 
+def run_ablation(*argv):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_ablation.py"), *map(str, argv)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
 def test_ablation_script_trains_and_scores_all_four_configurations(tmp_path):
     corpus = toy_corpus(seed=3, count=6, n_min=3, n_max=6)
     train = tmp_path / "train.conll"
@@ -168,15 +176,22 @@ def test_ablation_script_trains_and_scores_all_four_configurations(tmp_path):
     cfg = tmp_path / "base.cfg"
     cfg.write_text("".join(f"{k} = {v}\n" for k, v in TINY.items()) + "epochs = 1\n", encoding="utf-8")
     outdir = tmp_path / "runs"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "run_ablation.py"), "--train", str(train),
-         "--test", f"gold:{train}", "--pretrained", str(vectors), "--config", str(cfg), "--outdir", str(outdir)],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    done = run_ablation("--train", train, "--test", f"gold:{train}", "--pretrained", vectors,
+                        "--config", cfg, "--outdir", outdir)
     assert done.returncode == 0, done.stderr
     configs = ["word+pos", "+char", "+pretrained", "+char+pretrained"]
     rows = done.stdout.strip().split("\n")[2:]  # below the header and rule
     assert [row.split()[0] for row in rows] == configs
     records = [json.loads(line) for line in (outdir / "ablation.jsonl").read_text(encoding="utf-8").splitlines()]
     assert [r["config"] for r in records] == configs
+
+
+def test_ablation_script_without_a_projective_training_sentence_is_a_data_error(tmp_path):
+    # arcs 3 -> 1 and 4 -> 2 cross
+    train = tmp_path / "train.conll"
+    write_conll_file(str(train), [sentence_from([3, 4, 0, 3], ["a", "b", "root", "c"])])
+    done = run_ablation("--train", train, "--test", train, "--outdir", tmp_path / "runs")
+    assert done.returncode == 2
+    errors = [line for line in done.stderr.splitlines() if line.startswith("error: ")]
+    assert errors == ["error: no projective sentences left to train on"]
+    assert "Traceback" not in done.stderr

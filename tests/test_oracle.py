@@ -7,12 +7,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from efdp import oracle
 from efdp.autodiff import ParameterStore, Tape, Tensor
-from efdp.easyfirst import LEFT, RIGHT, decode, head_and_dep
+from efdp.config import Config
+from efdp.easyfirst import LEFT, RIGHT, arcs_to_rows, decode, head_and_dep, parse
+from efdp.evaluate import score
+from efdp.model import ParserModel
 from efdp.oracle import OracleState, Trainer, hinge_loss, hinge_margin, is_valid, train
+from efdp.represent import build_vocab
 from efdp.synthetic import grammar_corpus, random_sentence
 from efdp.treebank import Sentence, Token
-from helpers import tiny_model
+from helpers import TINY, tiny_model
 from test_easyfirst import EqualScorer, fig_model, fig_sentence
 
 
@@ -356,7 +361,7 @@ def test_error_window_triggers_exactly_one_update_past_threshold():
     assert trainer.losses == []
 
 
-def test_exploration_follows_confident_invalid_choice_without_loss():
+def test_exploration_follows_confident_invalid_choice_and_charges_its_violation(monkeypatch):
     sentence = fig_sentence()
     model, _ = fig_model(seed=1)
 
@@ -379,16 +384,42 @@ def test_exploration_follows_confident_invalid_choice_without_loss():
         def score_tensor(self, pending, k):
             return Tensor([[self.last[k]]])
 
-    assert model.config.explore
-    explorer = Trainer(model, scorer_factory=lambda tape, m, s: OverconfidentScorer(m))
-    explorer.train_sentence(sentence)
-    first_step_losses = len(explorer.losses)
-    assert first_step_losses == 3  # remaining steps error, the explored one does not
+    applied = []
+    real_apply = oracle.apply_action
 
+    def recording_apply(tape, m, pending, k, arcs):
+        real_apply(tape, m, pending, k, arcs)
+        applied.append(arcs[-1])
+
+    monkeypatch.setattr(oracle, "apply_action", recording_apply)
+
+    def first_arc_and_terms():
+        applied.clear()
+        trainer = Trainer(model, scorer_factory=lambda tape, m, s: OverconfidentScorer(m))
+        trainer.train_sentence(sentence)
+        return applied[0], len(trainer.losses)
+
+    assert model.config.explore
+    explored_arc, explored_terms = first_arc_and_terms()
     model.config = dataclasses.replace(model.config, explore=False)
-    obedient = Trainer(model, scorer_factory=lambda tape, m, s: OverconfidentScorer(m))
-    obedient.train_sentence(sentence)
-    assert len(obedient.losses) == 4  # margin violated on every step
+    obedient_arc, obedient_terms = first_arc_and_terms()
+    assert explored_arc != obedient_arc  # the explored step follows the invalid choice
+    assert explored_terms == 4  # and its violation joins the window like every other step's
+    assert obedient_terms == 4  # margin violated on every step
+
+
+def test_confident_errors_are_charged_so_seed_41_learns_the_grammar():
+    # exploration follows the steps with the largest margin violations; when
+    # they went uncharged, this run read 51.3 % held-out LAS
+    corpus = grammar_corpus(41, 240)
+    sentences, heldout = corpus[:200], corpus[200:]
+    model = ParserModel(Config(seed=41), build_vocab(sentences))
+    trainer = Trainer(model, error_batch=10)
+    for sentence in sentences:
+        trainer.train_sentence(sentence)
+    trainer.flush()
+    rows = [arcs_to_rows(parse(s, model), len(s)) for s in heldout]
+    assert score(heldout, rows).las >= 80.0
 
 
 def test_oracle_state_counts_remaining_children():
@@ -410,11 +441,6 @@ def test_train_requires_sentences():
 def test_train_records_metrics_and_stays_finite():
     model, _ = tiny_model(seed=30)
     corpus = grammar_corpus(seed=2, count=6)
-    from efdp.represent import build_vocab
-    from efdp.model import ParserModel
-    from efdp.config import Config
-    from helpers import TINY
-
     vocab = build_vocab(corpus)
     model = ParserModel(Config(seed=5, **TINY), vocab)
     metrics = train(corpus, model, 2, dev=corpus)
@@ -427,11 +453,6 @@ def test_train_records_metrics_and_stays_finite():
 
 def test_train_logs_seconds_and_speed_in_each_epoch_line(caplog):
     corpus = grammar_corpus(seed=2, count=6)
-    from efdp.represent import build_vocab
-    from efdp.model import ParserModel
-    from efdp.config import Config
-    from helpers import TINY
-
     model = ParserModel(Config(seed=5, **TINY), build_vocab(corpus))
     caplog.set_level(logging.INFO, logger="efdp.oracle")
     metrics = train(corpus, model, 2)

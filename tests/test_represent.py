@@ -287,4 +287,5 @@ def test_pretrained_block_feeds_word_vector():
     model = ParserModel(cfg, vocab, pretrained=table)
     out = word_vector(Tape(), model, [corpus[0][0]])
     assert out.value.shape == (cfg.vprime_dim, 1)
-    assert model.config.pretrained_dim == dim
+    assert model.config is cfg  # the table, not the config, carries its dimension
+    assert model.w_v.value.shape[1] == cfg.word_dim + cfg.pos_dim + dim
