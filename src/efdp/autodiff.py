@@ -241,6 +241,33 @@ class Tape:
 
         return self._push(out, backward)
 
+    def window_sum(self, xs, width: int) -> Tensor:
+        """Sums of ``width`` consecutive columns, one row group per slot of the window.
+
+        The blocks xs, joined left to right, form P (width*h, N). Output column
+        j of the (h, N-width+1) result is sum_s P[o*width + s, j+s] in row o.
+        No finite check: the op that consumes the sum checks it.
+        """
+        rows = xs[0].value.shape[0] if xs else 0
+        bounds = np.cumsum([0] + [x.value.shape[1] for x in xs])
+        if any(x.value.shape[0] != rows for x in xs) or rows % width or bounds[-1] < width:
+            raise ShapeError(f"window_sum of width {width} over shapes {[x.value.shape for x in xs]}")
+        n = bounds[-1] - width + 1
+        joined = np.concatenate([x.value for x in xs], axis=1).reshape(rows // width, width, -1)
+        out = joined[:, 0, :n].copy()
+        for s in range(1, width):
+            out += joined[:, s, s : s + n]
+
+        def backward(g):
+            grad = np.zeros((rows // width, width, bounds[-1]))
+            for s in range(width):
+                grad[:, s, s : s + n] = g
+            grad = grad.reshape(rows, -1)
+            for x, lo, hi in zip(xs, bounds, bounds[1:]):
+                _accumulate(x, grad[:, lo:hi])  # a block listed twice sums its gradients
+
+        return self._push(Tensor(out), backward)
+
     def sum_all(self, x: Tensor) -> Tensor:
         out = Tensor([[x.value.sum()]])
         _check_finite("sum_all", out.value)
@@ -296,7 +323,8 @@ class Tape:
     # ---- reverse pass ----
 
     def backward(self, loss: Tensor) -> None:
-        """Propagate d(loss)/d(x) into .grad of every tensor on this tape."""
+        """Adds d(loss)/d(x) to .grad of each tensor this tape's ops read but did not make;
+        an op's output keeps its gradient only until its record has passed it on."""
         if self._spent:
             raise RuntimeError("backward already ran on this tape; build a new one")
         if loss.value.shape != (1, 1):
@@ -309,6 +337,7 @@ class Tape:
                 _add_weight_terms(*terms.pop(id(out)))
             if out.grad is not None:
                 backward(out.grad)
+                out.grad = None  # complete and passed on, so nothing reads it again: free it
         for entry in terms.values():
             _add_weight_terms(*entry)
         terms.clear()

@@ -89,10 +89,9 @@ def _require(cfg, name):
 
 
 def _load_model(cfg) -> ParserModel:
-    """The model at ``cfg.model``; its meta file decides whether the embedding
-    file is needed, so the file is read whenever a path is given."""
-    table = load_pretrained(cfg.pretrained) if cfg.pretrained else None
-    return ParserModel.load(_require(cfg, "model"), pretrained=table)
+    """The model at ``cfg.model``; the embedding file is read only when its meta file asks for one."""
+    return ParserModel.load(_require(cfg, "model"),
+                            pretrained=lambda: load_pretrained(cfg.pretrained) if cfg.pretrained else None)
 
 
 def cmd_train(cfg: Config) -> int:

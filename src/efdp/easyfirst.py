@@ -42,7 +42,7 @@ class Arc:
 class PendingItem:
     """One partial structure: its head word plus both child-LSTM states."""
 
-    __slots__ = ("head_index", "form", "left_state", "right_state", "enc")
+    __slots__ = ("head_index", "form", "left_state", "right_state", "enc", "products")
 
     def __init__(self, head_index, form, left_state, right_state, enc):
         self.head_index = head_index
@@ -50,6 +50,7 @@ class PendingItem:
         self.left_state = left_state
         self.right_state = right_state
         self.enc = enc
+        self.products = (None, None, [])  # (enc, tape, [products per scorer MLP]) of the last scored step
 
 
 def encode_node(tape, model, left_h, right_h, label):
@@ -104,48 +105,53 @@ class ActionScorer:
     Two MLPs share the window input x_i = enc(p_{i-2}) .. enc(p_{i+3}), with
     learned pad vectors outside the list: one scores the direction alone, the
     other direction-relation pairs (laid out relation-major). An action's
-    score is the sum of its two entries. Window outputs are cached keyed on
-    the six slot tensors themselves: an attachment gives the head a new
-    encoding, so only windows overlapping the changed item are recomputed,
-    and the cache's references keep every key's identity unique. A cache
-    never outlives its tape.
+    score is the sum of its two entries. A step scores its n-1 windows as one
+    batch: an item keeps its first-layer products for every slot
+    (``Mlp.slot_view``) while its encoding and the tape stay the same, and
+    ``Tape.window_sum`` adds six of them per window. Per-window work is
+    elementwise, so a window's scores do not depend on the other windows.
     """
 
     def __init__(self, tape: Tape, model):
         self.tape = tape
         self.model = model
-        self._cache = {}
+        self._mlps = (model.mlp_u, model.mlp_r)
+        self._pads = [([tape.matmul(m.slot_view, model.pad_left)] * WINDOW_BEFORE,
+                       [tape.matmul(m.slot_view, model.pad_right)] * (WINDOW_AFTER - 1)) for m in self._mlps]
+        self._memo = ((), None)  # the last step's pending encodings and outputs
 
-    def outputs(self, pending, position):
-        """(direction-scorer output, relation-scorer output) for one point."""
-        model, n = self.model, len(pending)
-        slots = tuple(
-            model.pad_left if idx < 0 else model.pad_right if idx >= n else pending[idx].enc
-            for idx in range(position - 1 - WINDOW_BEFORE, position + WINDOW_AFTER)
-        )
-        hit = self._cache.get(slots)
-        if hit is not None:
-            return hit
-        x = self.tape.concat(*slots)
-        out = self._cache[slots] = (model.mlp_u.apply(self.tape, x), model.mlp_r.apply(self.tape, x))
-        return out
+    def outputs(self, pending):
+        """The step's (2, n-1) direction and (2R, n-1) relation outputs; column i-1 is point i."""
+        encs = tuple(item.enc for item in pending)
+        if self._memo[0] != encs:
+            todo = [item for item in pending if item.products[:2] != (item.enc, self.tape)]
+            if todo:
+                x = self.tape.join_columns(*(item.enc for item in todo))
+                batch = [self.tape.matmul(m.slot_view, x) for m in self._mlps]
+                for j, item in enumerate(todo):
+                    item.products = (item.enc, self.tape, [self.tape.columns(b, slice(j, j + 1)) for b in batch])
+            out = []
+            for m, (mlp, (left, right)) in enumerate(zip(self._mlps, self._pads)):
+                cols = left + [item.products[2][m] for item in pending] + right
+                out.append(mlp.apply(self.tape, self.tape.window_sum(cols, WINDOW_SLOTS)))
+            self._memo = (encs, tuple(out))
+        return self._memo[1]
 
     def scores(self, pending) -> np.ndarray:
         """The 2R(n-1) action scores as one flat array, in ``decode`` order."""
-        parts = []
-        for i in range(1, len(pending)):
-            u_out, r_out = self.outputs(pending, i)
-            # relation-major (R, 2) transposed to (direction, relation)
-            parts.append(u_out.value + r_out.value.reshape(-1, 2).T)
-        return np.concatenate(parts, axis=None)
+        u_out, r_out = self.outputs(pending)
+        # relation-major (R, 2, n-1) rows to (position, direction, relation)
+        r_by_point = r_out.value.reshape(-1, 2, len(pending) - 1).transpose(2, 1, 0)
+        return (u_out.value.T[:, :, None] + r_by_point).ravel()
 
     def score_tensor(self, pending, k: int):
         """The scalar score of action k as a graph node, for loss terms."""
         position, direction, relation = decode(k, self.model.n_relations)
-        u_out, r_out = self.outputs(pending, position)
+        point = slice(position - 1, position)
+        u_out, r_out = self.outputs(pending)
         return self.tape.add(
-            self.tape.pick_row(u_out, direction),
-            self.tape.pick_row(r_out, relation * 2 + direction),
+            self.tape.pick_row(self.tape.columns(u_out, point), direction),
+            self.tape.pick_row(self.tape.columns(r_out, point), relation * 2 + direction),
         )
 
 

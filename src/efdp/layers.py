@@ -134,11 +134,16 @@ def _run_cell(tape, cell: LstmCell, x: Tensor, m: int) -> Tensor:
 
 
 class Mlp:
-    """tanh hidden layers with a linear output layer of fixed size."""
+    """tanh hidden layers with a linear output layer of fixed size.
 
-    def __init__(self, store, name: str, sizes, rng):
-        if len(sizes) < 2:
-            raise ValueError("an MLP needs at least input and output sizes")
+    For an input of ``slots`` equal blocks, ``slot_view`` sees W0 and its
+    gradient as (slots * hidden, block) arrays whose row o*slots + s is
+    W0[o, block s]: one matmul with it gives a block's products for every slot.
+    """
+
+    def __init__(self, store, name: str, sizes, rng, slots: int = 1):
+        if len(sizes) < 2 or sizes[0] % slots:
+            raise ValueError(f"an MLP needs input and output sizes, an input of {slots} equal blocks: {sizes}")
         self.name = name
         self.sizes = tuple(sizes)
         self.layers = []
@@ -146,16 +151,22 @@ class Mlp:
             w = store.add(f"{name}/layer{k}/W", glorot(rng, np.empty((n_out, n_in))))
             b = store.add(f"{name}/layer{k}/b", np.zeros((n_out, 1)))
             self.layers.append((w, b))
+        w0 = self.layers[0][0]
+        self.slot_view = Tensor(w0.value.reshape(slots * sizes[1], -1))
+        self.slot_view.grad = w0.grad.reshape(self.slot_view.value.shape)
 
-    def apply(self, tape, x: Tensor) -> Tensor:
-        if x.value.shape != (self.sizes[0], 1):
+    def apply(self, tape, z: Tensor) -> Tensor:
+        """The outputs of k inputs side by side from their first-layer products z = W0 x, (hidden, k)."""
+        if z.value.shape[0] != self.sizes[1]:
             raise ShapeError(
-                f"{self.name}: input shape {x.value.shape}, expected ({self.sizes[0]}, 1)"
+                f"{self.name}: first-layer products of shape {z.value.shape}, expected ({self.sizes[1]}, k)"
             )
-        out = x
+        out = z
         last = len(self.layers) - 1
         for k, (w, b) in enumerate(self.layers):
-            out = tape.add(tape.matmul(w, out), b)
+            if k:
+                out = tape.matmul(w, out)
+            out = tape.add(out, b)
             if k != last:
                 out = tape.tanh(out)
         return out

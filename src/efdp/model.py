@@ -77,9 +77,9 @@ class ParserModel:
         self.w_e = store.add("w_e", glorot(rng, np.empty((self.v_dim, 2 * config.tree_hidden + config.label_dim))))
         self.b_e = store.add("b_e", np.zeros((self.v_dim, 1)))
 
-        window_width = WINDOW_SLOTS * self.v_dim
-        self.mlp_u = Mlp(store, "mlp_u", (window_width, config.mlp_hidden, 2), rng)
-        self.mlp_r = Mlp(store, "mlp_r", (window_width, config.mlp_hidden, 2 * self.n_relations), rng)
+        window = WINDOW_SLOTS * self.v_dim
+        self.mlp_u = Mlp(store, "mlp_u", (window, config.mlp_hidden, 2), rng, WINDOW_SLOTS)
+        self.mlp_r = Mlp(store, "mlp_r", (window, config.mlp_hidden, 2 * self.n_relations), rng, WINDOW_SLOTS)
 
     # ---- persistence ----
 
@@ -112,7 +112,8 @@ class ParserModel:
                     os.remove(tmp)
 
     @classmethod
-    def load(cls, path: str, pretrained: PretrainedTable = None) -> "ParserModel":
+    def load(cls, path: str, pretrained=None) -> "ParserModel":
+        """The model at ``path``; ``pretrained`` is its embedding table, or a function called for one if needed."""
         try:
             with open(meta_path(path), encoding="utf-8") as f:
                 meta = json.load(f)  # JSONDecodeError and UnicodeDecodeError are ValueErrors
@@ -130,7 +131,11 @@ class ParserModel:
             raise DataError(f"malformed model metadata {meta_path(path)}: {e}") from None
         except (KeyError, TypeError) as e:
             raise DataError(f"malformed model metadata {meta_path(path)}: {e!r}") from None
-        if cfg.use_pretrained:
+        if not cfg.use_pretrained:
+            pretrained = None
+        else:
+            if callable(pretrained):
+                pretrained = pretrained()
             if pretrained is None:
                 raise ConfigError("model was trained with pretrained embeddings; pass the embedding file")
             if dim != pretrained.dim:

@@ -94,14 +94,15 @@ def test_gradient_integrity():
 
         check_gradients(bilstm_loss, store, rtol=RTOL)
 
-        # MLP
+        # MLP over a two-block input, its first layer as the window sum of per-block slot products
         store = ParameterStore()
-        mlp = Mlp(store, "mlp", (4, 3, 2), rng)
+        mlp = Mlp(store, "mlp", (4, 3, 2), rng, slots=2)
         mx = Tensor(rng.uniform(-1, 1, (4, 1)))
+        blocks = (Tensor(mx.value[:2]), Tensor(mx.value[2:]))
 
         def mlp_loss():
             t = Tape()
-            return t, t.sum_all(mlp.apply(t, mx))
+            return t, t.sum_all(mlp.apply(t, t.window_sum([t.matmul(mlp.slot_view, b) for b in blocks], 2)))
 
         check_gradients(mlp_loss, store, rtol=RTOL)
 

@@ -12,7 +12,7 @@ from efdp.autodiff import (
     Tape,
     Tensor,
 )
-from efdp.layers import LstmCell
+from efdp.layers import LstmCell, Mlp
 from helpers import check_gradients
 
 floats = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
@@ -29,6 +29,10 @@ def test_forward_values():
     assert t.pick_row(Tensor([[1.0, 2.0], [3.0, 4.0]]), 1).value[:, 0].tolist() == [3.0, 4.0]
     assert t.sum_all(x).item() == 2.0
     assert t.sub(Tensor([5.0]), Tensor([2.0])).item() == 3.0
+    # rows o*2 + s of column j + s: 1+4, 2+5 and 3+6 in row 0, 10+40, 20+50 and 30+60 in row 1
+    blocks = Tensor([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [10.0, 20.0, 30.0], [40.0, 50.0, 60.0]])
+    summed = t.window_sum([t.columns(blocks, [0]), t.columns(blocks, slice(1, 3)), Tensor([0.0, 6.0, 0.0, 60.0])], 2)
+    assert summed.value.tolist() == [[6.0, 8.0, 9.0], [60.0, 80.0, 90.0]]
 
 
 def test_shape_errors_name_the_op():
@@ -53,6 +57,14 @@ def test_shape_errors_name_the_op():
         t.join_columns(Tensor(np.ones((2, 2))), Tensor(np.ones((3, 2))))
     with pytest.raises(ShapeError, match="lstm_gates"):
         t.lstm_gates(Tensor(np.ones((8, 3))), Tensor(np.ones((2, 2))))
+    with pytest.raises(ShapeError, match="window_sum"):
+        t.window_sum([Tensor(np.ones((4, 2))), Tensor(np.ones((2, 2)))], 2)  # unequal rows
+    with pytest.raises(ShapeError, match="window_sum"):
+        t.window_sum([Tensor(np.ones((3, 2)))], 2)  # rows not a multiple of the width
+    with pytest.raises(ShapeError, match="window_sum"):
+        t.window_sum([Tensor(np.ones((6, 2)))], 3)  # fewer columns than the width
+    with pytest.raises(ShapeError, match="window_sum"):
+        t.window_sum([], 1)
 
 
 def test_non_finite_forward_is_an_error():
@@ -66,6 +78,14 @@ def test_non_finite_forward_is_an_error():
     cell.w_x["input"].value[:] = 1e308
     with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
         cell.step(Tape(), *cell.initial_state(), Tensor(np.full((2, 1), 10.0)))
+    # window_sum checks nothing itself: a non-finite product raises at the bias add after it
+    mlp = Mlp(store, "mlp", (4, 2, 1), np.random.default_rng(0), slots=2)
+    t = Tape()
+    products = [Tensor([[np.inf], [1.0], [1.0], [1.0]]), Tensor(np.ones((4, 1)))]  # slot 0 of row 0
+    z = t.window_sum(products, 2)
+    assert not np.isfinite(z.value).all()
+    with pytest.raises(FloatingPointError, match="add"):
+        mlp.apply(t, z)
 
 
 def test_logistic_is_stable_for_large_inputs():
@@ -108,7 +128,8 @@ def test_per_op_gradients_match_finite_differences(op):
     check_gradients(build, store)
 
 
-@pytest.mark.parametrize("op", ["add", "concat", "pick_row", "columns", "join_columns", "lstm_gates"])
+@pytest.mark.parametrize("op", ["add", "concat", "pick_row", "columns", "join_columns", "lstm_gates",
+                                "window_sum"])
 def test_column_batch_gradients_match_finite_differences(op):
     # every operand spans k = 3 columns, or is the one-column bias, row table or cell state fed to them
     rng = np.random.default_rng(sum(map(ord, op)))
@@ -135,6 +156,9 @@ def test_column_batch_gradients_match_finite_differences(op):
         elif op == "lstm_gates":
             h, cell = t.lstm_gates(t.concat(ax, t.scale(ax, -0.7)), x)  # H = 2
             out = t.concat(h, cell)
+        elif op == "window_sum":
+            # width 2 over [c, c, ax, c, c]: the repeated pad c sums the gradients of every slot it fills
+            out = t.window_sum([c, c, ax, c, c], 2)
         rows, cols = out.value.shape
         return t, t.sum_all(t.pointwise_mul(Tensor(weights.value[:rows, :cols]), out))
 
@@ -221,6 +245,22 @@ def test_unreachable_parameters_keep_zero_grad():
     t = Tape()
     t.backward(t.sum_all(t.tanh(w)))
     assert np.array_equal(lonely.grad, np.zeros((2, 2)))
+
+
+def test_backward_frees_only_the_gradients_of_its_own_op_outputs():
+    store = ParameterStore()
+    w = store.add("w", np.full((2, 2), 0.5))
+    x = Tensor([1.0, -1.0])
+    t = Tape()
+    h = t.tanh(t.matmul(w, x))
+    loss = t.sum_all(h)
+    t.backward(loss)
+    assert h.grad is None and loss.grad is None  # passed on, so the pass holds no stale blocks
+    assert w.grad.any() and x.grad is not None
+    # on a newer tape, h is a constant this tape did not make: it keeps its gradient
+    t2 = Tape()
+    t2.backward(t2.sum_all(t2.scale(h, 2.0)))
+    assert np.array_equal(h.grad, np.full((2, 1), 2.0))
 
 
 def test_backward_twice_is_an_error():

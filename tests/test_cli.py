@@ -456,6 +456,27 @@ def test_a_pretrained_model_needs_its_embedding_file_at_its_dimension(
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("given", ["--pretrained", "config"])
+def test_a_model_without_pretrained_vectors_never_reads_an_embedding_file(workdir, capsys, given):
+    assert run(["train", "--config", workdir / "efdp.cfg"]) == 0
+    bad = workdir / "bad.vec"
+    bad.write_text("w 0.1 0.2\nv 0.3\n", encoding="utf-8")  # rows of unequal dimension: a DataError if read
+    argv = ["--model", workdir / "model.bin", "--input", workdir / "train.conll"]
+    capsys.readouterr()
+    assert run(["parse", *argv, "--output", "-"]) == 0
+    plain = capsys.readouterr().out
+    if given == "config":
+        (workdir / "pre.cfg").write_text(f"pretrained = {bad}\n", encoding="utf-8")
+        argv += ["--config", workdir / "pre.cfg"]
+    else:
+        argv += ["--pretrained", bad]
+    assert run(["parse", *argv, "--output", "-"]) == 0
+    assert capsys.readouterr().out == plain
+    assert run(["trace", *argv, "--index", 1]) == 0
+    with pytest.raises(DataError):
+        load_pretrained(str(bad))
+
+
 @pytest.mark.parametrize("line", ["exclude_punct = true", "punct_tags = CH", "pretrained_dim = 3"])
 def test_settings_owned_elsewhere_are_unknown_config_keys(workdir, capsys, line):
     # punctuation belongs to `efdp eval`'s flags, the embedding dimension to its file

@@ -1,5 +1,8 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from efdp.autodiff import Tape, Tensor
 from efdp.easyfirst import (
@@ -17,7 +20,7 @@ from efdp.easyfirst import (
 from efdp.represent import build_vocab, encode_sentence
 from efdp.config import Config
 from efdp.model import ParserModel
-from efdp.synthetic import random_sentence
+from efdp.synthetic import random_sentence, toy_corpus
 from efdp.treebank import Sentence, Token, is_projective, validate_tree
 from helpers import TINY, action_index, tiny_model
 
@@ -283,7 +286,7 @@ def test_incremental_rescoring_matches_exhaustive():
             scorer = ActionScorer(tape, model)
             log = []
             while len(pending) > 1:
-                if fresh_scorer_per_step:  # an empty cache scores every window
+                if fresh_scorer_per_step:  # reuses only the items' products, as one scorer does
                     scorer = ActionScorer(tape, model)
                 scores = scorer.scores(pending)
                 log.append(scores.tolist())
@@ -299,12 +302,111 @@ def test_scorer_output_sizes():
     vectors = encode_sentence(tape, model, sentence)
     pending = init_pending(tape, model, vectors, sentence)
     scorer = ActionScorer(tape, model)
-    u_out, r_out = scorer.outputs(pending, 1)
-    assert u_out.value.shape == (2, 1)
-    assert r_out.value.shape == (2 * model.n_relations, 1)
+    u_out, r_out = scorer.outputs(pending)  # one column per attachment point
+    assert u_out.value.shape == (2, len(pending) - 1)
+    assert r_out.value.shape == (2 * model.n_relations, len(pending) - 1)
     scores = scorer.scores(pending)
     assert isinstance(scores, np.ndarray) and scores.dtype == np.float64
     assert scores.shape == (2 * model.n_relations * (len(pending) - 1),)
+
+
+RELATION_NAMES = ("root", "nsubj", "dobj", "det", "nmod")
+
+
+@functools.lru_cache(maxsize=None)
+def model_with_relations(n_relations):
+    """A tiny model whose vocabulary holds exactly ``n_relations`` relations."""
+    names = RELATION_NAMES[:n_relations]
+    corpus = toy_corpus(seed=n_relations, count=40, n_min=3, n_max=8, relations=names, root_relation=names[0])
+    model = ParserModel(Config(seed=n_relations, **TINY), build_vocab(corpus))
+    assert model.n_relations == n_relations
+    rng = np.random.default_rng(n_relations)
+    for name in ("pad_left", "pad_right", "mlp_u/layer0/b", "mlp_r/layer0/b", "mlp_u/layer1/b", "mlp_r/layer1/b"):
+        model.store[name].value[:] = rng.uniform(-0.5, 0.5, model.store[name].value.shape)
+    return model
+
+
+def reference_outputs(model, pending):
+    """Per-window MLP outputs in plain numpy: the six slot encodings joined, then W0 x + b0, tanh, W1 h + b1."""
+    padded = [model.pad_left.value] * 2 + [item.enc.value for item in pending] + [model.pad_right.value] * 3
+    outs = []
+    for mlp in (model.mlp_u, model.mlp_r):
+        (w0, b0), (w1, b1) = mlp.layers
+        x = np.hstack([np.vstack(padded[i - 1 : i + 5]) for i in range(1, len(pending))])
+        outs.append(w1.value @ np.tanh(w0.value @ x + b0.value) + b1.value)
+    return outs
+
+
+def reference_scores(model, pending):
+    """The reference outputs laid out in ``decode`` order, one window at a time."""
+    u_out, r_out = reference_outputs(model, pending)
+    flat = []
+    for i in range(1, len(pending)):
+        for direction in (LEFT, RIGHT):
+            for relation in range(model.n_relations):
+                flat.append(u_out[direction, i - 1] + r_out[2 * relation + direction, i - 1])
+    return np.array(flat)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 2**32 - 1), st.integers(2, 12), st.data())
+def test_scores_match_a_per_window_reference(n_relations, seed, n, data):
+    model = model_with_relations(n_relations)
+    sentence = random_sentence(np.random.default_rng(seed), n_min=n, n_max=n)
+    tape = Tape()
+    pending = init_pending(tape, model, encode_sentence(tape, model, sentence), sentence)
+    scorer = ActionScorer(tape, model)
+    while len(pending) > 1:
+        scores = scorer.scores(pending)
+        want = reference_scores(model, pending)
+        # a score is a sum of terms that may cancel, so its error is relative to the step's scale
+        np.testing.assert_allclose(scores, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        k = data.draw(st.integers(0, len(scores) - 1), label="action")
+        apply_action(tape, model, pending, k, [])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_first_layer_gradient_through_the_slot_view_matches_the_joined_window(seed):
+    # the full gradient, every coordinate, of a loss over every output of two steps
+    model = model_with_relations(3)
+    sentence = random_sentence(np.random.default_rng(seed), n_min=7, n_max=7)
+    rng = np.random.default_rng(100 + seed)
+    weights = [Tensor(rng.uniform(-1, 1, (2 * model.n_relations, 6))) for _ in range(2)]
+    names = ["mlp_u/layer0/W", "mlp_r/layer0/W", "pad_left", "pad_right", "w_e"]
+
+    def joined_windows(tape, pending):
+        # the window input as the concat of its six slots, through W0 x
+        slots = [model.pad_left] * 2 + [item.enc for item in pending] + [model.pad_right] * 3
+        x = tape.join_columns(*(tape.concat(*slots[i - 1 : i + 5]) for i in range(1, len(pending))))
+        outs = []
+        for mlp in (model.mlp_u, model.mlp_r):
+            (w0, b0), (w1, b1) = mlp.layers
+            outs.append(tape.add(tape.matmul(w1, tape.tanh(tape.add(tape.matmul(w0, x), b0))), b1))
+        return outs
+
+    def gradients(make_outputs):
+        model.store.zero_grads()
+        tape = Tape()
+        pending = init_pending(tape, model, encode_sentence(tape, model, sentence), sentence)
+        outputs = make_outputs(tape)
+        terms = []
+        for step in range(2):
+            for out, w in zip(outputs(pending), weights):
+                rows, cols = out.value.shape
+                terms.append(tape.sum_all(tape.pointwise_mul(Tensor(w.value[:rows, :cols]), out)))
+            apply_action(tape, model, pending, action_index(2, RIGHT, 1, model.n_relations), [])
+        total = terms[0]
+        for term in terms[1:]:
+            total = tape.add(total, term)
+        tape.backward(total)
+        return {name: model.store[name].grad.copy() for name in names}
+
+    got = gradients(lambda tape: ActionScorer(tape, model).outputs)
+    want = gradients(lambda tape: lambda pending: joined_windows(tape, pending))
+    for name in names:
+        assert want[name].any(), name
+        scale = np.abs(want[name]).max()  # sums of products that may cancel, as in the scores test
+        np.testing.assert_allclose(got[name], want[name], rtol=1e-12, atol=1e-12 * scale, err_msg=name)
 
 
 def test_score_tensor_agrees_with_scores():

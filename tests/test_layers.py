@@ -278,6 +278,11 @@ def test_batched_bilstm_matches_one_sequence_at_a_time(lengths, input_size, hidd
 
 
 # ---- MLP ----
+# ``Mlp.apply`` takes the first-layer products z = W0 x of its inputs
+
+
+def first_layer(t, mlp, x):
+    return t.matmul(mlp.layers[0][0], x)
 
 
 def test_mlp_zero_weights_give_zero_output():
@@ -285,7 +290,8 @@ def test_mlp_zero_weights_give_zero_output():
     mlp = Mlp(store, "m", (4, 3, 2), np.random.default_rng(0))
     for _, p in store.items():
         p.value[:] = 0.0
-    out = mlp.apply(Tape(), Tensor(np.ones((4, 1))))
+    t = Tape()
+    out = mlp.apply(t, first_layer(t, mlp, Tensor(np.ones((4, 1)))))
     assert np.array_equal(out.value, np.zeros((2, 1)))
 
 
@@ -296,8 +302,9 @@ def test_mlp_output_sizes_for_both_scorers():
     unlabeled = Mlp(store, "u", (10, 5, 2), rng)
     labeled = Mlp(store, "r", (10, 5, 2 * n_relations), rng)
     x = Tensor(rng.uniform(-1, 1, (10, 1)))
-    assert unlabeled.apply(Tape(), x).value.shape == (2, 1)
-    assert labeled.apply(Tape(), x).value.shape == (26, 1)
+    t = Tape()
+    assert unlabeled.apply(t, first_layer(t, unlabeled, x)).value.shape == (2, 1)
+    assert labeled.apply(t, first_layer(t, labeled, x)).value.shape == (26, 1)
 
 
 def test_single_linear_layer_equals_matmul_plus_bias():
@@ -307,7 +314,7 @@ def test_single_linear_layer_equals_matmul_plus_bias():
     x = Tensor(rng.uniform(-1, 1, (3, 1)))
     t = Tape()
     manual = t.add(t.matmul(store["m/layer0/W"], x), store["m/layer0/b"])
-    assert np.array_equal(mlp.apply(Tape(), x).value, manual.value)
+    assert np.array_equal(mlp.apply(t, first_layer(t, mlp, x)).value, manual.value)
 
 
 def test_mlp_gradients():
@@ -318,7 +325,7 @@ def test_mlp_gradients():
 
     def build():
         t = Tape()
-        return t, t.sum_all(mlp.apply(t, x))
+        return t, t.sum_all(mlp.apply(t, first_layer(t, mlp, x)))
 
     check_gradients(build, store)
 
@@ -328,3 +335,49 @@ def test_mlp_rejects_wrong_input_width():
     mlp = Mlp(store, "m", (3, 2), np.random.default_rng(0))
     with pytest.raises(ShapeError, match="m"):
         mlp.apply(Tape(), Tensor(np.zeros((4, 1))))
+    with pytest.raises(ShapeError, match="m"):  # an input in place of its products
+        mlp.apply(Tape(), Tensor(np.zeros((3, 1))))
+    with pytest.raises(ValueError, match="blocks"):
+        Mlp(ParameterStore(), "m", (4, 2), np.random.default_rng(0), slots=3)
+
+
+@pytest.mark.parametrize("slots, block, hidden", [(1, 3, 4), (2, 3, 4), (6, 2, 5)])
+def test_slot_view_rows_are_the_first_layer_blocks(slots, block, hidden):
+    store = ParameterStore()
+    rng = np.random.default_rng(slots)
+    mlp = Mlp(store, "m", (slots * block, hidden, 2), rng, slots)
+    w0 = store["m/layer0/W"]
+
+    def assert_view():
+        for o in range(hidden):
+            for s in range(slots):
+                cols = slice(s * block, (s + 1) * block)
+                assert np.array_equal(mlp.slot_view.value[o * slots + s], w0.value[o, cols])
+                assert np.array_equal(mlp.slot_view.grad[o * slots + s], w0.grad[o, cols])
+
+    # a window of ``slots`` blocks through the view and window_sum equals W0 x, value and gradients
+    xs = [Tensor(rng.uniform(-1, 1, (block, 1))) for _ in range(slots)]
+    weights = Tensor(rng.uniform(-1, 1, (hidden, 1)))
+
+    def loss(first):
+        store.zero_grads()
+        t = Tape()
+        z = first(t)
+        t.backward(t.sum_all(t.pointwise_mul(weights, z)))
+        return z.value, w0.grad.copy()
+
+    got = loss(lambda t: t.window_sum([t.matmul(mlp.slot_view, x) for x in xs], slots))
+    want = loss(lambda t: t.matmul(w0, t.concat(*xs)))
+    np.testing.assert_allclose(got[0], want[0], rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(got[1], want[1], rtol=1e-12, atol=1e-15)
+    assert got[1].any()
+    # every write to W0 or its gradient shows in the view
+    loss(lambda t: t.window_sum([t.matmul(mlp.slot_view, x) for x in xs], slots))
+    assert_view()
+    store.adam_step(lr=0.1)
+    assert_view()
+    other = ParameterStore()
+    Mlp(other, "m", mlp.sizes, rng, slots)
+    store.load_bytes(other.to_bytes())
+    assert_view()
+    assert np.array_equal(w0.value, other["m/layer0/W"].value)

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from efdp import oracle
 from efdp.autodiff import ParameterStore, Tape, Tensor
 from efdp.config import Config
-from efdp.easyfirst import LEFT, RIGHT, arcs_to_rows, decode, head_and_dep, parse
+from efdp.easyfirst import LEFT, RIGHT, ActionScorer, PendingItem, arcs_to_rows, decode, head_and_dep, parse
 from efdp.evaluate import score
 from efdp.model import ParserModel
 from efdp.oracle import OracleState, Trainer, hinge_loss, hinge_margin, is_valid, train
@@ -420,6 +420,47 @@ def test_confident_errors_are_charged_so_seed_41_learns_the_grammar():
     trainer.flush()
     rows = [arcs_to_rows(parse(s, model), len(s)) for s in heldout]
     assert score(heldout, rows).las >= 80.0
+
+
+def test_scores_after_a_mid_sentence_update_use_the_updated_parameters(monkeypatch):
+    # with error_batch=0 every margin error updates at once, mostly mid-sentence;
+    # each later score must come from the updated W0 and carry its gradient
+    model, corpus = tiny_model(seed=29, count=8)
+    checks = []  # (first step of its scorer, scores, a fresh scorer's scores on copies of the items)
+    made = []  # the sentence each scorer was made for
+
+    class CheckedScorer(ActionScorer):
+        def scores(self, pending):
+            got = super().scores(pending)
+            copies = [PendingItem(p.head_index, p.form, p.left_state, p.right_state, p.enc) for p in pending]
+            checks.append((not hasattr(self, "seen"), got, ActionScorer(Tape(), self.model).scores(copies)))
+            self.seen = True
+            return got
+
+    # slots 2 and 3 hold the attachment's own two items, never a pad
+    v = model.v_dim
+    middle = [model.store[f"{name}/layer0/W"].grad[:, 2 * v : 4 * v] for name in ("mlp_u", "mlp_r")]
+    grads = []
+    adam_step = model.store.adam_step
+
+    def checked_adam_step(*args):
+        grads.append([np.abs(g).max() for g in middle])
+        adam_step(*args)
+
+    monkeypatch.setattr(model.store, "adam_step", checked_adam_step)
+    trainer = Trainer(model, error_batch=0,
+                      scorer_factory=lambda tape, m, sentence: made.append(sentence) or CheckedScorer(tape, m))
+    for sentence in corpus:
+        trainer.train_sentence(sentence)
+    assert len(made) - len(set(made)) >= 5  # scorers made after a mid-sentence update
+    assert trainer.updates == len(grads) >= 5
+    # two different actions always differ in their relation scorer's rows; the direction
+    # scorer's rows cancel when the two share a position and a direction
+    assert all(g_r > 0.0 for _, g_r in grads) and any(g_u > 0.0 for g_u, _ in grads)
+    for first, got, fresh in checks:
+        if first:  # every item's products are new, as in the fresh scorer
+            assert np.array_equal(got, fresh)
+        np.testing.assert_allclose(got, fresh, rtol=1e-12, atol=1e-12 * np.abs(fresh).max())
 
 
 def test_oracle_state_counts_remaining_children():
