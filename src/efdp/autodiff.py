@@ -417,6 +417,8 @@ class ParameterStore:
             p = self._params.get(name)
             if p is None:
                 raise SerializationError(f"unknown parameter {name!r} in model file")
+            if name in seen:
+                raise SerializationError(f"parameter {name!r} appears twice in model file")
             if p.value.shape != value.shape:
                 raise SerializationError(
                     f"parameter {name!r}: file shape {value.shape} != expected {p.value.shape}"

@@ -72,8 +72,8 @@ def init_pending(tape, model, word_vectors, sentence: Sentence) -> list:
         raise ValueError(f"{word_vectors.value.shape[1]} word vectors for {n} words")
     nulls = tape.columns(model.null_label, [0] * n)
     seeds = tape.concat(word_vectors, nulls)
-    left = model.tree_left.step(tape, *model.tree_left.initial_state(n), seeds)
-    right = model.tree_right.step(tape, *model.tree_right.initial_state(n), seeds)
+    left = model.tree_left.step(tape, model.tree_left.project(tape, seeds))
+    right = model.tree_right.step(tape, model.tree_right.project(tape, seeds))
     enc = encode_node(tape, model, left[0], right[0], nulls)
     pending = []
     for k, token in enumerate(sentence):
@@ -171,9 +171,9 @@ def apply_action(tape, model, pending, k: int, arcs: list) -> None:
     label = tape.pick_row(model.rel_emb, relation)
     child = tape.concat(dep.enc, label)
     if direction == LEFT:
-        head.left_state = model.tree_left.step(tape, *head.left_state, child)
+        head.left_state = model.tree_left.step(tape, model.tree_left.project(tape, child), head.left_state)
     else:
-        head.right_state = model.tree_right.step(tape, *head.right_state, child)
+        head.right_state = model.tree_right.step(tape, model.tree_right.project(tape, child), head.right_state)
     head.enc = encode_node(tape, model, head.left_state[0], head.right_state[0], label)
     pending.remove(dep)
 

@@ -28,8 +28,9 @@ class LstmCell:
     """Single LSTM cell: logistic input/forget/output gates, tanh candidate.
 
     The gates are stacked in GATES order into ``stacked`` = (W_x, W_h, b) with
-    4H rows each, so a step is two matmuls, two adds and one ``lstm_gates``
-    over one column per cell run side by side.
+    4H rows each. ``project`` gives W_x x + b for any number of inputs at
+    once; a ``step`` adds W_h h to one column per cell run side by side and
+    runs ``lstm_gates`` over them.
     The store's per-gate parameters ``name/gate/W_x|W_h|b`` are row blocks of
     those matrices and of their gradient buffers; every write to a parameter
     or gradient is in place, so the two stay one set of numbers.
@@ -51,19 +52,22 @@ class LstmCell:
                 by_gate[gate] = store.add(f"{name}/{gate}/{param}", full.value[rows])
                 by_gate[gate].grad = full.grad[rows]
 
-    def initial_state(self, k: int = 1):
-        """Zero (h, c) for k cells side by side."""
-        return Tensor(np.zeros((self.hidden_size, k))), Tensor(np.zeros((self.hidden_size, k)))
-
-    def step(self, tape, h_prev: Tensor, c_prev: Tensor, x: Tensor):
-        """One step of k cells side by side: x is (input_size, k), h and c (H, k)."""
+    def project(self, tape, x: Tensor) -> Tensor:
+        """W_x x + b for k inputs side by side: x is (input_size, k), the result (4H, k)."""
         if x.value.shape[0] != self.input_size:
-            raise ShapeError(
-                f"{self.name}: input shape {x.value.shape}, expected ({self.input_size}, k)"
-            )
-        w_x, w_h, b = self.stacked
-        z = tape.add(tape.add(tape.matmul(w_x, x), tape.matmul(w_h, h_prev)), b)
-        return tape.lstm_gates(z, c_prev)
+            raise ShapeError(f"{self.name}: input shape {x.value.shape}, expected ({self.input_size}, k)")
+        w_x, _, b = self.stacked
+        return tape.add(tape.matmul(w_x, x), b)
+
+    def step(self, tape, z_x: Tensor, state=None):
+        """(h, c) of k cells side by side from their projected inputs z_x (4H, k) and
+        their ``state`` (h, c), each (H, k); None is the zero state, whose W_h h adds nothing."""
+        if state is None:
+            c_prev = Tensor(np.zeros((self.hidden_size, z_x.value.shape[1])))
+        else:
+            h_prev, c_prev = state
+            z_x = tape.add(z_x, tape.matmul(self.stacked[1], h_prev))
+        return tape.lstm_gates(z_x, c_prev)
 
 
 class BiLstm:
@@ -115,45 +119,36 @@ class BiLstm:
 def _run_cell(tape, cell: LstmCell, x: Tensor, m: int) -> Tensor:
     """All states of m sequences through one cell, as (hidden, steps * m).
 
-    The inputs of every step go through one matmul with the bias added; the
-    zero initial h adds nothing to the first step.
+    The inputs of every step go through one projection.
     """
-    if x.value.shape[0] != cell.input_size:
-        raise ShapeError(f"{cell.name}: input shape {x.value.shape}, expected ({cell.input_size}, k)")
-    w_x, w_h, b = cell.stacked
-    z = tape.add(tape.matmul(w_x, x), b)
-    c = cell.initial_state(m)[1]
+    z = cell.project(tape, x)
+    state = None
     hs = []
     for t in range(0, z.value.shape[1], m):
-        z_t = tape.columns(z, slice(t, t + m))
-        if hs:
-            z_t = tape.add(z_t, tape.matmul(w_h, hs[-1]))
-        h, c = tape.lstm_gates(z_t, c)
-        hs.append(h)
+        state = cell.step(tape, tape.columns(z, slice(t, t + m)), state)
+        hs.append(state[0])
     return tape.join_columns(*hs)
 
 
 class Mlp:
-    """tanh hidden layers with a linear output layer of fixed size.
+    """One tanh hidden layer and a linear output layer: W1 tanh(W0 x + b0) + b1.
 
     For an input of ``slots`` equal blocks, ``slot_view`` sees W0 and its
     gradient as (slots * hidden, block) arrays whose row o*slots + s is
     W0[o, block s]: one matmul with it gives a block's products for every slot.
     """
 
-    def __init__(self, store, name: str, sizes, rng, slots: int = 1):
-        if len(sizes) < 2 or sizes[0] % slots:
-            raise ValueError(f"an MLP needs input and output sizes, an input of {slots} equal blocks: {sizes}")
+    def __init__(self, store, name: str, sizes, rng, slots: int):
+        if len(sizes) != 3 or sizes[0] % slots:
+            raise ValueError(f"an MLP needs sizes (input, hidden, output) and {slots} equal input blocks: {sizes}")
         self.name = name
-        self.sizes = tuple(sizes)
-        self.layers = []
-        for k, (n_in, n_out) in enumerate(zip(sizes, sizes[1:])):
-            w = store.add(f"{name}/layer{k}/W", glorot(rng, np.empty((n_out, n_in))))
-            b = store.add(f"{name}/layer{k}/b", np.zeros((n_out, 1)))
-            self.layers.append((w, b))
-        w0 = self.layers[0][0]
-        self.slot_view = Tensor(w0.value.reshape(slots * sizes[1], -1))
-        self.slot_view.grad = w0.grad.reshape(self.slot_view.value.shape)
+        self.sizes = n_in, hidden, n_out = tuple(sizes)
+        self.w0 = store.add(f"{name}/layer0/W", glorot(rng, np.empty((hidden, n_in))))
+        self.b0 = store.add(f"{name}/layer0/b", np.zeros((hidden, 1)))
+        self.w1 = store.add(f"{name}/layer1/W", glorot(rng, np.empty((n_out, hidden))))
+        self.b1 = store.add(f"{name}/layer1/b", np.zeros((n_out, 1)))
+        self.slot_view = Tensor(self.w0.value.reshape(slots * hidden, -1))
+        self.slot_view.grad = self.w0.grad.reshape(self.slot_view.value.shape)
 
     def apply(self, tape, z: Tensor) -> Tensor:
         """The outputs of k inputs side by side from their first-layer products z = W0 x, (hidden, k)."""
@@ -161,12 +156,4 @@ class Mlp:
             raise ShapeError(
                 f"{self.name}: first-layer products of shape {z.value.shape}, expected ({self.sizes[1]}, k)"
             )
-        out = z
-        last = len(self.layers) - 1
-        for k, (w, b) in enumerate(self.layers):
-            if k:
-                out = tape.matmul(w, out)
-            out = tape.add(out, b)
-            if k != last:
-                out = tape.tanh(out)
-        return out
+        return tape.add(tape.matmul(self.w1, tape.tanh(tape.add(z, self.b0))), self.b1)

@@ -175,12 +175,11 @@ class Trainer:
         return sentence_loss
 
 
-def train(corpus, model, epochs, dev=None, early_stop=None):
+def train(corpus, model, epochs, dev=None):
     """Train for ``epochs`` passes with per-epoch shuffling and dev scoring.
 
     Keeps the parameters from the epoch with the best dev UAS (when dev is
-    given). ``early_stop`` is an optional (uas, las) pair; training ends as
-    soon as the dev score reaches it. Returns the per-epoch metric records.
+    given). Returns the per-epoch metric records.
     """
     if not corpus:
         raise ValueError("empty training corpus")
@@ -223,10 +222,6 @@ def train(corpus, model, epochs, dev=None, early_stop=None):
                 else ""
             )
         )
-        if dev and early_stop is not None:
-            target_uas, target_las = early_stop
-            if record["dev_uas"] >= target_uas and record["dev_las"] >= target_las:
-                break
     if best_params is not None:
         model.store.load_bytes(best_params)
     return metrics

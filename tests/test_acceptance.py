@@ -75,10 +75,10 @@ def test_gradient_integrity():
 
         def cell_loss():
             t = Tape()
-            h, c = cell.initial_state()
+            state = None
             for x in xs:
-                h, c = cell.step(t, h, c, x)
-            return t, t.sum_all(h)
+                state = cell.step(t, cell.project(t, x), state)
+            return t, t.sum_all(state[0])
 
         check_gradients(cell_loss, store, rtol=RTOL)
 
@@ -188,10 +188,12 @@ def test_overfit_small_corpus():
         assert is_projective(s)
     vocab = build_vocab(corpus)
     model = ParserModel(Config(seed=7), vocab)  # default dims
-    metrics = train(corpus, model, 30, dev=corpus, early_stop=(100.0, 100.0))
-    final = metrics[-1]
-    assert final["epoch"] <= 30
-    assert final["dev_uas"] == 100.0 and final["dev_las"] == 100.0
+    # one epoch per call, stopping at the first that scores the corpus perfectly
+    for _ in range(30):
+        (record,) = train(corpus, model, 1, dev=corpus)
+        if record["dev_uas"] == 100.0 and record["dev_las"] == 100.0:
+            break
+    assert record["dev_uas"] == 100.0 and record["dev_las"] == 100.0
 
 
 # 5 ------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import gc
+import struct
 import weakref
 
 import numpy as np
@@ -77,7 +78,7 @@ def test_non_finite_forward_is_an_error():
     cell = LstmCell(store, "cell", 2, 3, np.random.default_rng(0))
     cell.w_x["input"].value[:] = 1e308
     with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
-        cell.step(Tape(), *cell.initial_state(), Tensor(np.full((2, 1), 10.0)))
+        cell.project(Tape(), Tensor(np.full((2, 1), 10.0)))
     # window_sum checks nothing itself: a non-finite product raises at the bias add after it
     mlp = Mlp(store, "mlp", (4, 2, 1), np.random.default_rng(0), slots=2)
     t = Tape()
@@ -221,7 +222,7 @@ def test_a_spent_tape_is_freed_without_the_cycle_collector():
     gc.disable()
     try:
         t = Tape()
-        h, _ = cell.step(t, *cell.initial_state(), Tensor([0.5, -0.5]))
+        h, _ = cell.step(t, cell.project(t, Tensor([0.5, -0.5])))
         t.backward(t.sum_all(h))
         tape = weakref.ref(t)
         del t, h
@@ -400,6 +401,18 @@ def test_strict_load_rejects_unknown_and_missing_names():
     both.add("more", np.zeros((1, 1)))
     with pytest.raises(SerializationError, match="missing"):
         both.load_bytes(sparse.to_bytes())
+
+
+def test_strict_load_rejects_a_parameter_listed_twice():
+    store = ParameterStore()
+    store.add("a", np.ones((2, 1)))
+    store.add("b", np.ones((1, 1)))
+    again = ParameterStore()
+    again.add("a", np.full((2, 1), 7.0))
+    data = store.to_bytes()
+    three = data[:8] + struct.pack("<I", 3) + data[12:] + again.to_bytes()[12:]
+    with pytest.raises(SerializationError, match="'a'"):
+        store.load_bytes(three)
 
 
 def test_strict_load_checks_shapes():

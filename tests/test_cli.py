@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import logging
+import math
 import struct
 
 import pytest
@@ -320,6 +321,17 @@ def _non_finite_value(path):
     path.write_bytes(bytes(blob))
 
 
+def _repeated_parameter(path):
+    # the first parameter listed once more after the last, with another value
+    blob = path.read_bytes()
+    count, name_len = struct.unpack_from("<II", blob, 8)
+    (rank,) = struct.unpack_from("<I", blob, 16 + name_len)
+    values = 20 + name_len + 4 * rank
+    end = values + 8 * math.prod(struct.unpack_from(f"<{rank}I", blob, values - 4 * rank))
+    again = blob[12:values] + bytes(end - values)
+    path.write_bytes(blob[:8] + struct.pack("<I", count + 1) + blob[12:] + again)
+
+
 def _zero_dim_beside_huge_dims(path):
     name = b"word_emb"
     path.write_bytes(
@@ -380,7 +392,7 @@ def _root_label_not_a_string(path):
 @pytest.mark.parametrize(
     "damage",
     [_bad_meta_json, _meta_without_arch, _non_utf8_parameter_name, _dims_overflowing_64_bits,
-     _zero_dim_beside_huge_dims, _non_finite_value, _empty_relations, _duplicate_relations,
+     _zero_dim_beside_huge_dims, _non_finite_value, _repeated_parameter, _empty_relations, _duplicate_relations,
      _relations_as_string, _root_label_not_a_string, _zero_tree_hidden, _zero_sent_hidden, _arch_as_string],
 )
 def test_malformed_model_files_are_data_errors(tmp_path, capsys, damage):

@@ -331,7 +331,7 @@ def reference_outputs(model, pending):
     padded = [model.pad_left.value] * 2 + [item.enc.value for item in pending] + [model.pad_right.value] * 3
     outs = []
     for mlp in (model.mlp_u, model.mlp_r):
-        (w0, b0), (w1, b1) = mlp.layers
+        w0, b0, w1, b1 = mlp.w0, mlp.b0, mlp.w1, mlp.b1
         x = np.hstack([np.vstack(padded[i - 1 : i + 5]) for i in range(1, len(pending))])
         outs.append(w1.value @ np.tanh(w0.value @ x + b0.value) + b1.value)
     return outs
@@ -380,7 +380,7 @@ def test_first_layer_gradient_through_the_slot_view_matches_the_joined_window(se
         x = tape.join_columns(*(tape.concat(*slots[i - 1 : i + 5]) for i in range(1, len(pending))))
         outs = []
         for mlp in (model.mlp_u, model.mlp_r):
-            (w0, b0), (w1, b1) = mlp.layers
+            w0, b0, w1, b1 = mlp.w0, mlp.b0, mlp.w1, mlp.b1
             outs.append(tape.add(tape.matmul(w1, tape.tanh(tape.add(tape.matmul(w0, x), b0))), b1))
         return outs
 

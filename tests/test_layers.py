@@ -23,7 +23,7 @@ def zero_cell(input_size, hidden_size):
 def test_zero_weights_zero_input_gives_zero_state():
     _, cell = zero_cell(3, 4)
     t = Tape()
-    h, c = cell.step(t, *cell.initial_state(), Tensor(np.zeros((3, 1))))
+    h, c = cell.step(t, cell.project(t, Tensor(np.zeros((3, 1)))))
     assert np.array_equal(h.value, np.zeros((4, 1)))
     assert np.array_equal(c.value, np.zeros((4, 1)))
 
@@ -31,7 +31,7 @@ def test_zero_weights_zero_input_gives_zero_state():
 def test_step_output_dims_fixed_by_hidden_size():
     _, cell = make_cell(5, 3)
     t = Tape()
-    h, c = cell.step(t, *cell.initial_state(), Tensor(np.random.default_rng(1).uniform(-9, 9, (5, 1))))
+    h, c = cell.step(t, cell.project(t, Tensor(np.random.default_rng(1).uniform(-9, 9, (5, 1)))))
     assert h.value.shape == (3, 1) and c.value.shape == (3, 1)
 
 
@@ -39,9 +39,26 @@ def test_step_rejects_wrong_input_size():
     _, cell = make_cell(3, 4)
     t = Tape()
     with pytest.raises(ShapeError, match="cell"):
-        cell.step(t, *cell.initial_state(), Tensor(np.zeros((5, 1))))
+        cell.project(t, Tensor(np.zeros((5, 1))))
+    z = cell.project(t, Tensor(np.zeros((3, 1))))
     with pytest.raises(ShapeError, match="lstm_gates"):
-        cell.step(t, cell.initial_state()[0], Tensor(np.zeros((5, 1))), Tensor(np.zeros((3, 1))))
+        cell.step(t, z, (Tensor(np.zeros((4, 1))), Tensor(np.zeros((5, 1)))))
+
+
+def test_step_from_no_state_equals_step_from_the_zero_state():
+    store, cell = make_cell(3, 4, seed=5)
+    x = np.random.default_rng(6).uniform(-1, 1, (3, 2))
+
+    def run(state):
+        store.zero_grads()
+        t = Tape()
+        h, c = cell.step(t, cell.project(t, Tensor(x)), state)
+        t.backward(t.add(t.sum_all(h), t.sum_all(c)))
+        return [h.value, c.value] + [p.grad.copy() for _, p in store.items()]
+
+    zero = (Tensor(np.zeros((4, 2))), Tensor(np.zeros((4, 2))))
+    for got, want in zip(run(None), run(zero)):
+        assert np.array_equal(got, want)
 
 
 def test_gradient_through_three_chained_steps():
@@ -51,10 +68,10 @@ def test_gradient_through_three_chained_steps():
 
     def build():
         t = Tape()
-        h, c = cell.initial_state()
+        state = None
         for x in xs:
-            h, c = cell.step(t, h, c, x)
-        return t, t.sum_all(h)
+            state = cell.step(t, cell.project(t, x), state)
+        return t, t.sum_all(state[0])
 
     check_gradients(build, store)
 
@@ -100,7 +117,10 @@ def test_fused_step_matches_per_gate_reference(input_size, hidden_size, steps, s
         values = [h.value, c.value] + [v.grad for v in (*start, *inputs)]
         return values, {name: p.grad.copy() for name, p in store.items()}
 
-    values, grads = run(cell.step)
+    def step(t, h, c, x):
+        return cell.step(t, cell.project(t, x), (h, c))
+
+    values, grads = run(step)
     assert_stacked_blocks_are_the_gate_parameters(cell)
     ref_values, ref_grads = run(lambda t, h, c, x: reference_step(t, cell, h, c, x))
     for got, want in zip(values, ref_values):
@@ -115,7 +135,7 @@ def test_fused_step_matches_per_gate_reference(input_size, hidden_size, steps, s
     store.load_bytes(other.to_bytes())
     assert_stacked_blocks_are_the_gate_parameters(cell)
     assert np.array_equal(cell.stacked[1].value[-hidden_size:], other["cell/cand/W_h"].value)
-    run(cell.step)
+    run(step)
     assert all(full.grad.any() for full in cell.stacked)
     store.zero_grads()
     assert_stacked_blocks_are_the_gate_parameters(cell)
@@ -128,7 +148,7 @@ def test_saturated_gates_freeze_the_cell_state():
     cell.b["input"].value[:] = -20.0   # input gate ~ 0
     c0 = np.random.default_rng(2).uniform(-1, 1, (3, 1))
     t = Tape()
-    _, c1 = cell.step(t, Tensor(np.zeros((3, 1))), Tensor(c0), Tensor(np.ones((2, 1))))
+    _, c1 = cell.step(t, cell.project(t, Tensor(np.ones((2, 1)))), (Tensor(np.zeros((3, 1))), Tensor(c0)))
     assert np.abs(c1.value - c0).max() < 1e-6
 
 
@@ -146,11 +166,32 @@ def test_bilstm_single_input_concatenates_one_step_each_way():
     outputs, f_fin, b_fin = net.run(t, x, [1])
     assert outputs.value.shape == (8, 1)
     t2 = Tape()
-    hf, _ = net.fwd[0].step(t2, *net.fwd[0].initial_state(), x)
-    hb, _ = net.bwd[0].step(t2, *net.bwd[0].initial_state(), x)
+    hf, _ = net.fwd[0].step(t2, net.fwd[0].project(t2, x))
+    hb, _ = net.bwd[0].step(t2, net.bwd[0].project(t2, x))
     assert np.array_equal(outputs.value, np.vstack([hf.value, hb.value]))
     assert np.array_equal(f_fin.value, hf.value)
     assert np.array_equal(b_fin.value, hb.value)
+
+
+def test_bilstm_run_is_a_chain_of_project_and_step_each_way():
+    store = ParameterStore()
+    rng = np.random.default_rng(7)
+    net = BiLstm(store, "bi", 3, 4, 1, rng)
+    x = rng.uniform(-1, 1, (3, 4))
+    outputs, f_fin, b_fin = net.run(Tape(), Tensor(x), [4])
+    t = Tape()
+    chains = []
+    for cell, seq in ((net.fwd[0], x), (net.bwd[0], x[:, ::-1].copy())):
+        z = cell.project(t, Tensor(seq))  # one projection of the whole sequence, as ``run`` makes
+        state, hs = None, []
+        for k in range(4):
+            state = cell.step(t, Tensor(z.value[:, k : k + 1]), state)
+            hs.append(state[0].value)
+        chains.append(np.hstack(hs))
+    fwd, bwd = chains
+    assert np.array_equal(outputs.value, np.vstack([fwd, bwd[:, ::-1]]))
+    assert np.array_equal(f_fin.value, fwd[:, -1:])
+    assert np.array_equal(b_fin.value, bwd[:, -1:])
 
 
 def copy_weights(src: LstmCell, dst: LstmCell):
@@ -282,12 +323,12 @@ def test_batched_bilstm_matches_one_sequence_at_a_time(lengths, input_size, hidd
 
 
 def first_layer(t, mlp, x):
-    return t.matmul(mlp.layers[0][0], x)
+    return t.matmul(mlp.w0, x)
 
 
 def test_mlp_zero_weights_give_zero_output():
     store = ParameterStore()
-    mlp = Mlp(store, "m", (4, 3, 2), np.random.default_rng(0))
+    mlp = Mlp(store, "m", (4, 3, 2), np.random.default_rng(0), 1)
     for _, p in store.items():
         p.value[:] = 0.0
     t = Tape()
@@ -299,8 +340,8 @@ def test_mlp_output_sizes_for_both_scorers():
     store = ParameterStore()
     rng = np.random.default_rng(1)
     n_relations = 13
-    unlabeled = Mlp(store, "u", (10, 5, 2), rng)
-    labeled = Mlp(store, "r", (10, 5, 2 * n_relations), rng)
+    unlabeled = Mlp(store, "u", (10, 5, 2), rng, 1)
+    labeled = Mlp(store, "r", (10, 5, 2 * n_relations), rng, 1)
     x = Tensor(rng.uniform(-1, 1, (10, 1)))
     t = Tape()
     assert unlabeled.apply(t, first_layer(t, unlabeled, x)).value.shape == (2, 1)
@@ -308,19 +349,22 @@ def test_mlp_output_sizes_for_both_scorers():
 
 
 def test_single_linear_layer_equals_matmul_plus_bias():
+    # the head is W1 tanh(W0 x + b0) + b1, each layer a matmul plus its bias
     store = ParameterStore()
     rng = np.random.default_rng(2)
-    mlp = Mlp(store, "m", (3, 3), rng)
-    x = Tensor(rng.uniform(-1, 1, (3, 1)))
+    mlp = Mlp(store, "m", (3, 4, 2), rng, 1)
+    for name in ("m/layer0/b", "m/layer1/b"):
+        store[name].value[:] = rng.uniform(-1, 1, store[name].value.shape)
+    x = rng.uniform(-1, 1, (3, 2))
+    w0, b0, w1, b1 = (store[f"m/layer{k}/{p}"].value for k in (0, 1) for p in ("W", "b"))
     t = Tape()
-    manual = t.add(t.matmul(store["m/layer0/W"], x), store["m/layer0/b"])
-    assert np.array_equal(mlp.apply(t, first_layer(t, mlp, x)).value, manual.value)
+    assert np.array_equal(mlp.apply(t, first_layer(t, mlp, Tensor(x))).value, w1 @ np.tanh(w0 @ x + b0) + b1)
 
 
 def test_mlp_gradients():
     store = ParameterStore()
     rng = np.random.default_rng(3)
-    mlp = Mlp(store, "m", (3, 4, 2), rng)
+    mlp = Mlp(store, "m", (3, 4, 2), rng, 1)
     x = Tensor(rng.uniform(-1, 1, (3, 1)))
 
     def build():
@@ -332,13 +376,15 @@ def test_mlp_gradients():
 
 def test_mlp_rejects_wrong_input_width():
     store = ParameterStore()
-    mlp = Mlp(store, "m", (3, 2), np.random.default_rng(0))
+    mlp = Mlp(store, "m", (3, 4, 2), np.random.default_rng(0), 1)
     with pytest.raises(ShapeError, match="m"):
-        mlp.apply(Tape(), Tensor(np.zeros((4, 1))))
+        mlp.apply(Tape(), Tensor(np.zeros((5, 1))))
     with pytest.raises(ShapeError, match="m"):  # an input in place of its products
         mlp.apply(Tape(), Tensor(np.zeros((3, 1))))
     with pytest.raises(ValueError, match="blocks"):
-        Mlp(ParameterStore(), "m", (4, 2), np.random.default_rng(0), slots=3)
+        Mlp(ParameterStore(), "m", (4, 2, 2), np.random.default_rng(0), slots=3)
+    with pytest.raises(ValueError, match="hidden"):  # the head has exactly one hidden layer
+        Mlp(ParameterStore(), "m", (3, 2), np.random.default_rng(0), 1)
 
 
 @pytest.mark.parametrize("slots, block, hidden", [(1, 3, 4), (2, 3, 4), (6, 2, 5)])
