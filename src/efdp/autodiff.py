@@ -1,8 +1,10 @@
 """Dense 2-D tensors with taped reverse-mode differentiation and Adam.
 
 The computation graph is dynamic: a fresh Tape is built per sentence (or per
-update window), ops append (output, backward-closure) records in execution
-order, and backward() replays them once in reverse. Everything is float64;
+update window), ops on a recording tape append (output, backward-closure)
+records in execution order, and backward() replays them once in reverse. A
+Tape(record=False) runs the same ops and keeps nothing, for inference, where
+no gradient is taken. Everything is float64;
 vectors are column-shaped (n, 1), and a batch of k vectors is one (n, k)
 tensor. Tensors produced on an older tape may be consumed by a newer one,
 in which case they act as constants.
@@ -50,6 +52,15 @@ class Tensor:
         return f"Tensor{tag}{self.value.shape}"
 
 
+def _result(value: np.ndarray) -> Tensor:
+    """An op's output: ``value`` is already a 2-D float64 array, so Tensor()'s checks are skipped."""
+    t = object.__new__(Tensor)
+    t.value = value
+    t.grad = None
+    t.name = ""
+    return t
+
+
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if t.grad is None:
         t.grad = g.copy()  # g may be another tensor's gradient or a view of one
@@ -66,27 +77,34 @@ def _logistic(v: np.ndarray) -> np.ndarray:
 
 
 def _check_finite(op: str, value: np.ndarray) -> None:
-    if not np.isfinite(value).all():
+    """One sum decides in the common case: a finite sum proves every entry finite.
+    A sum that is not finite, as finite entries also give when it overflows
+    (numpy then warns), falls back to the test of each entry."""
+    if not math.isfinite(np.add.reduce(value, axis=None)) and not np.isfinite(value).all():
         raise FloatingPointError(f"{op} produced non-finite values")
 
 
 class Tape:
     """Ordered record of executed ops; backward() visits them in reverse.
 
+    With ``record=False`` the ops compute the same values and keep no record,
+    and backward() is an error.
+
     backward() adds the terms g @ x.T of a matmul's left operand as one product,
     before that operand's own record runs or, for a leaf, when the pass ends.
     """
 
-    def __init__(self):
-        self._records = []
+    def __init__(self, record: bool = True):
+        self._records = [] if record else None
         self._weight_terms = {}  # id(a) -> (a, [g], [x]) of the matmuls a @ x seen in backward
         self._spent = False
 
     def __len__(self):
-        return len(self._records)
+        return len(self._records or ())
 
     def _push(self, out: Tensor, backward) -> Tensor:
-        self._records.append((out, backward))
+        if self._records is not None:
+            self._records.append((out, backward))
         return out
 
     # ---- forward ops ----
@@ -94,7 +112,7 @@ class Tape:
     def matmul(self, a: Tensor, b: Tensor) -> Tensor:
         if a.value.shape[1] != b.value.shape[0]:
             raise ShapeError(f"matmul: {a.value.shape} @ {b.value.shape}")
-        out = Tensor(a.value @ b.value)
+        out = _result(a.value @ b.value)
         _check_finite("matmul", out.value)
         terms = self._weight_terms  # not self: a closure holding the tape would make a reference cycle
 
@@ -110,7 +128,7 @@ class Tape:
         """a + b; a one-column b is a bias added to each of a's columns."""
         if a.value.shape != b.value.shape and b.value.shape != (a.value.shape[0], 1):
             raise ShapeError(f"add: {a.value.shape} vs {b.value.shape}")
-        out = Tensor(a.value + b.value)
+        out = _result(a.value + b.value)
         _check_finite("add", out.value)
         broadcast = a.value.shape != b.value.shape
 
@@ -123,7 +141,7 @@ class Tape:
     def sub(self, a: Tensor, b: Tensor) -> Tensor:
         if a.value.shape != b.value.shape:
             raise ShapeError(f"sub: {a.value.shape} vs {b.value.shape}")
-        out = Tensor(a.value - b.value)
+        out = _result(a.value - b.value)
         _check_finite("sub", out.value)
 
         def backward(g):
@@ -135,7 +153,7 @@ class Tape:
     def pointwise_mul(self, a: Tensor, b: Tensor) -> Tensor:
         if a.value.shape != b.value.shape:
             raise ShapeError(f"pointwise_mul: {a.value.shape} vs {b.value.shape}")
-        out = Tensor(a.value * b.value)
+        out = _result(a.value * b.value)
         _check_finite("pointwise_mul", out.value)
 
         def backward(g):
@@ -145,8 +163,8 @@ class Tape:
         return self._push(out, backward)
 
     def tanh(self, x: Tensor) -> Tensor:
-        out = Tensor(np.tanh(x.value))
-        _check_finite("tanh", out.value)
+        """No finite check: tanh of a finite value is in [-1, 1]."""
+        out = _result(np.tanh(x.value))
 
         def backward(g):
             _accumulate(x, g * (1.0 - out.value * out.value))
@@ -154,7 +172,7 @@ class Tape:
         return self._push(out, backward)
 
     def logistic(self, x: Tensor) -> Tensor:
-        out = Tensor(_logistic(x.value))
+        out = _result(_logistic(x.value))
         _check_finite("logistic", out.value)
 
         def backward(g):
@@ -163,15 +181,17 @@ class Tape:
         return self._push(out, backward)
 
     def concat(self, *xs: Tensor) -> Tensor:
-        """Stacks row blocks that have the same number of columns."""
+        """Stacks row blocks that have the same number of columns.
+
+        No finite check: it copies values it was given.
+        """
         if not xs:
             raise ShapeError("concat of nothing")
         cols = xs[0].value.shape[1]
         for x in xs:
             if x.value.shape[1] != cols:
                 raise ShapeError(f"concat of {cols}-column blocks got shape {x.value.shape}")
-        out = Tensor(np.concatenate([x.value for x in xs], axis=0))
-        _check_finite("concat", out.value)
+        out = _result(np.concatenate([x.value for x in xs], axis=0))
         sizes = [x.value.shape[0] for x in xs]
 
         def backward(g):
@@ -183,12 +203,14 @@ class Tape:
         return self._push(out, backward)
 
     def pick_row(self, x: Tensor, rows) -> Tensor:
-        """Row ``rows`` of x as a column, or for a sequence of row ids one column each."""
+        """Row ``rows`` of x as a column, or for a sequence of row ids one column each.
+
+        No finite check: it copies values it was given.
+        """
         ids = np.atleast_1d(np.asarray(rows, dtype=np.intp))
         if ids.ndim != 1 or not ids.size or not ((0 <= ids) & (ids < x.value.shape[0])).all():
             raise ShapeError(f"pick_row: rows {rows} of shape {x.value.shape}")
-        out = Tensor(x.value[ids].T.copy())
-        _check_finite("pick_row", out.value)
+        out = _result(x.value[ids].T.copy())
 
         def backward(g):
             if x.grad is None:
@@ -207,7 +229,7 @@ class Tape:
             cols = np.asarray(cols, dtype=np.intp)
             if cols.ndim != 1 or not ((0 <= cols) & (cols < x.value.shape[1])).all():
                 raise ShapeError(f"columns: {cols} of shape {x.value.shape}")
-        out = Tensor(x.value[:, cols])
+        out = _result(x.value[:, cols])
         if not out.value.shape[1]:
             raise ShapeError(f"columns: {cols} of shape {x.value.shape} selects none")
 
@@ -232,7 +254,7 @@ class Tape:
         for x in xs:
             if x.value.shape[0] != rows:
                 raise ShapeError(f"join_columns of {rows}-row blocks got shape {x.value.shape}")
-        out = Tensor(np.concatenate([x.value for x in xs], axis=1))
+        out = _result(np.concatenate([x.value for x in xs], axis=1))
         bounds = np.cumsum([0] + [x.value.shape[1] for x in xs])
 
         def backward(g):
@@ -266,10 +288,10 @@ class Tape:
             for x, lo, hi in zip(xs, bounds, bounds[1:]):
                 _accumulate(x, grad[:, lo:hi])  # a block listed twice sums its gradients
 
-        return self._push(Tensor(out), backward)
+        return self._push(_result(out), backward)
 
     def sum_all(self, x: Tensor) -> Tensor:
-        out = Tensor([[x.value.sum()]])
+        out = _result(x.value.sum(keepdims=True))
         _check_finite("sum_all", out.value)
 
         def backward(g):
@@ -278,7 +300,7 @@ class Tape:
         return self._push(out, backward)
 
     def scale(self, x: Tensor, c: float) -> Tensor:
-        out = Tensor(x.value * c)
+        out = _result(x.value * c)
         _check_finite("scale", out.value)
 
         def backward(g):
@@ -301,9 +323,9 @@ class Tape:
         act[: 3 * n] = _logistic(z.value[: 3 * n])
         act[3 * n :] = np.tanh(z.value[3 * n :])
         i, f, o, g = act[:n], act[n : 2 * n], act[2 * n : 3 * n], act[3 * n :]
-        c = Tensor(f * c_prev.value + i * g)
+        c = _result(f * c_prev.value + i * g)
         tanh_c = np.tanh(c.value)
-        h = Tensor(o * tanh_c)
+        h = _result(o * tanh_c)
         d_o = np.zeros_like(o)  # filled by h's record, which runs first in reverse
 
         def backward_c(gc):
@@ -325,6 +347,8 @@ class Tape:
     def backward(self, loss: Tensor) -> None:
         """Adds d(loss)/d(x) to .grad of each tensor this tape's ops read but did not make;
         an op's output keeps its gradient only until its record has passed it on."""
+        if self._records is None:
+            raise RuntimeError("backward on a tape that does not record")
         if self._spent:
             raise RuntimeError("backward already ran on this tape; build a new one")
         if loss.value.shape != (1, 1):
@@ -349,12 +373,11 @@ def _add_weight_terms(a: Tensor, gs, xs) -> None:
 
 
 class ParameterStore:
-    """Named trainable tensors plus their Adam moment buffers."""
+    """Named trainable tensors plus their Adam moment buffers, made by the first adam_step."""
 
     def __init__(self):
         self._params = {}
-        self._m = {}
-        self._v = {}
+        self._moments = {}  # name -> (m, v)
         self.step_count = 0
 
     def add(self, name: str, value) -> Tensor:
@@ -363,8 +386,6 @@ class ParameterStore:
         t = Tensor(value, name)
         t.grad = np.zeros_like(t.value)
         self._params[name] = t
-        self._m[name] = np.zeros_like(t.value)
-        self._v[name] = np.zeros_like(t.value)
         return t
 
     def __getitem__(self, name: str) -> Tensor:
@@ -385,8 +406,9 @@ class ParameterStore:
         bc2 = 1.0 - beta2**t
         for name, p in self._params.items():
             g = p.grad
-            m = self._m[name]
-            v = self._v[name]
+            if name not in self._moments:  # moments start at zero: a model that never trains holds none
+                self._moments[name] = (np.zeros_like(g), np.zeros_like(g))
+            m, v = self._moments[name]
             m *= beta1
             m += (1.0 - beta1) * g
             v *= beta2

@@ -185,9 +185,9 @@ def parse(sentence: Sentence, model, scorer=None, trace=None) -> list:
     scorer (it must provide ``scores(pending)``); ``trace`` is an optional
     callable receiving one formatted line per step. Ties break canonically:
     lowest position, then LEFT, then lowest relation, because ``argmax``
-    keeps the first maximum.
+    keeps the first maximum. No gradient is taken, so the tape keeps no record.
     """
-    tape = Tape()
+    tape = Tape(record=False)
     arcs = []
     if len(sentence) == 0:
         return arcs

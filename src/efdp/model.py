@@ -7,6 +7,7 @@ to rebuild the network before loading values into it.
 
 import contextlib
 import json
+import mmap
 import os
 
 import numpy as np
@@ -144,8 +145,9 @@ class ParserModel:
             model = cls(cfg, Vocab.from_meta(meta["vocab"]), pretrained=pretrained)
         except (KeyError, TypeError, ValueError, MemoryError) as e:  # dims come from the file
             raise DataError(f"malformed model metadata {meta_path(path)}: {e!r}") from None
-        with open(path, "rb") as f:
-            model.store.load_bytes(f.read())
+        with open(path, "rb") as f:  # mmap refuses an empty file, which fails the header check as b""
+            data = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) if os.fstat(f.fileno()).st_size else b""
+        model.store.load_bytes(data)  # the map is not closed: a decode error's traceback may still view it
         return model
 
 

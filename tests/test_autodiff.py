@@ -14,7 +14,8 @@ from efdp.autodiff import (
     Tensor,
 )
 from efdp.layers import LstmCell, Mlp
-from helpers import check_gradients
+from efdp.model import ParserModel
+from helpers import check_gradients, tiny_model
 
 floats = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 
@@ -69,24 +70,42 @@ def test_shape_errors_name_the_op():
 
 
 def test_non_finite_forward_is_an_error():
-    t = Tape()
-    huge = Tensor(np.full((1, 1), 1e308))
-    with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="matmul"):
-        t.matmul(huge, Tensor([[10.0]]))
-    # an overflow before the fused LSTM gates would read as a saturated gate after them
-    store = ParameterStore()
-    cell = LstmCell(store, "cell", 2, 3, np.random.default_rng(0))
-    cell.w_x["input"].value[:] = 1e308
-    with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
-        cell.project(Tape(), Tensor(np.full((2, 1), 10.0)))
-    # window_sum checks nothing itself: a non-finite product raises at the bias add after it
-    mlp = Mlp(store, "mlp", (4, 2, 1), np.random.default_rng(0), slots=2)
-    t = Tape()
-    products = [Tensor([[np.inf], [1.0], [1.0], [1.0]]), Tensor(np.ones((4, 1)))]  # slot 0 of row 0
-    z = t.window_sum(products, 2)
-    assert not np.isfinite(z.value).all()
-    with pytest.raises(FloatingPointError, match="add"):
-        mlp.apply(t, z)
+    for record in (True, False):
+        t = Tape(record)
+        huge = Tensor(np.full((1, 1), 1e308))
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="matmul"):
+            t.matmul(huge, Tensor([[10.0]]))
+        # an overflow before the fused LSTM gates would read as a saturated gate after them
+        store = ParameterStore()
+        cell = LstmCell(store, "cell", 2, 3, np.random.default_rng(0))
+        cell.w_x["input"].value[:] = 1e308
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
+            cell.project(Tape(record), Tensor(np.full((2, 1), 10.0)))
+        # window_sum checks nothing itself: a non-finite product raises at the bias add after it
+        mlp = Mlp(store, "mlp", (4, 2, 1), np.random.default_rng(0), slots=2)
+        t = Tape(record)
+        products = [Tensor([[np.inf], [1.0], [1.0], [1.0]]), Tensor(np.ones((4, 1)))]  # slot 0 of row 0
+        z = t.window_sum(products, 2)
+        assert not np.isfinite(z.value).all()
+        with pytest.raises(FloatingPointError, match="add"):
+            mlp.apply(t, z)
+
+
+def test_finite_values_whose_sum_overflows_pass_the_check():
+    for record in (True, False):
+        with np.errstate(over="ignore"):  # numpy warns of the sum's overflow, which is no error
+            out = Tape(record).add(Tensor([[1e308], [1e308]]), Tensor([[0.0], [0.0]]))
+        assert np.array_equal(out.value, [[1e308], [1e308]])
+
+
+def test_a_tape_that_does_not_record_keeps_nothing():
+    x = Tensor([[0.5], [-1.0]])
+    recording, bare = Tape(), Tape(record=False)
+    outs = [t.sum_all(t.tanh(t.matmul(Tensor(np.ones((2, 2))), x))) for t in (recording, bare)]
+    assert outs[0].value.tobytes() == outs[1].value.tobytes()
+    assert len(recording) == 3 and len(bare) == 0
+    with pytest.raises(RuntimeError, match="does not record"):
+        bare.backward(outs[1])
 
 
 def test_logistic_is_stable_for_large_inputs():
@@ -332,6 +351,30 @@ def reference_adam_scalar(x0, lr, steps, beta1=0.9, beta2=0.999, eps=1e-8):
         v = beta2 * v + (1 - beta2) * g * g
         x -= lr * (m / (1 - beta1**t)) / ((v / (1 - beta2**t)) ** 0.5 + eps)
     return x
+
+
+def test_adam_moments_appear_on_the_first_step_and_match_an_eager_reference():
+    rng = np.random.default_rng(8)
+    store = ParameterStore()
+    w = store.add("w", rng.standard_normal((3, 2)))
+    assert not store._moments
+    x, m, v = w.value.copy(), np.zeros((3, 2)), np.zeros((3, 2))  # moments made with the parameter
+    for step in range(1, 4):
+        g = rng.standard_normal((3, 2))
+        w.grad[:] = g
+        store.adam_step(lr=0.1)
+        m = m * 0.9 + (1.0 - 0.9) * g
+        v = v * 0.999 + (1.0 - 0.999) * (g * g)
+        x -= 0.1 * (m / (1.0 - 0.9**step)) / (np.sqrt(v / (1.0 - 0.999**step)) + 1e-8)
+        assert w.value.tobytes() == x.tobytes()
+    assert set(store._moments) == {"w"}
+
+
+def test_built_and_loaded_models_hold_no_adam_moments(tmp_path):
+    model, _ = tiny_model(seed=2)
+    model.save(str(tmp_path / "model.bin"))
+    for fresh in (model, ParserModel.load(str(tmp_path / "model.bin"))):
+        assert not fresh.store._moments
 
 
 def test_adam_minimizes_a_quadratic():

@@ -301,6 +301,10 @@ def _meta_without_arch(path):
     (path.parent / meta_path(path.name)).write_text('{"meta_version": 1}', encoding="utf-8")
 
 
+def _empty_bin(path):
+    path.write_bytes(b"")  # no map of an empty file can be made: it must still read as a bad header
+
+
 def _non_utf8_parameter_name(path):
     blob = bytearray(path.read_bytes())
     blob[16] = 0xFF  # first byte of the first parameter name
@@ -391,7 +395,7 @@ def _root_label_not_a_string(path):
 
 @pytest.mark.parametrize(
     "damage",
-    [_bad_meta_json, _meta_without_arch, _non_utf8_parameter_name, _dims_overflowing_64_bits,
+    [_bad_meta_json, _meta_without_arch, _empty_bin, _non_utf8_parameter_name, _dims_overflowing_64_bits,
      _zero_dim_beside_huge_dims, _non_finite_value, _repeated_parameter, _empty_relations, _duplicate_relations,
      _relations_as_string, _root_label_not_a_string, _zero_tree_hidden, _zero_sent_hidden, _arch_as_string],
 )

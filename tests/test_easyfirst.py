@@ -233,6 +233,46 @@ def test_replaying_a_parse_is_bit_identical():
     assert lines_a == lines_b
 
 
+def recorded_parse(sentence, model):
+    """parse's loop on a recording tape: the arcs and each step's scores."""
+    tape = Tape()
+    pending = init_pending(tape, model, encode_sentence(tape, model, sentence), sentence)
+    scorer = ActionScorer(tape, model)
+    arcs, steps = [], []
+    while len(pending) > 1:
+        steps.append(scorer.scores(pending))
+        apply_action(tape, model, pending, int(np.argmax(steps[-1])), arcs)
+    assert len(tape) > 0
+    return arcs, steps
+
+
+@pytest.mark.parametrize("use_char", [False, True])
+def test_parse_records_nothing_and_scores_as_a_recording_tape_does(monkeypatch, use_char):
+    model, corpus = tiny_model(seed=6, use_char=use_char)
+    scores, tapes = [], set()
+    original = ActionScorer.scores
+
+    def noted(self, pending):
+        tapes.add(self.tape)
+        scores.append(original(self, pending))
+        return scores[-1]
+
+    for sentence in corpus:
+        arcs, steps = recorded_parse(sentence, model)
+        monkeypatch.setattr(ActionScorer, "scores", noted)
+        assert parse(sentence, model)[:-1] == arcs
+        monkeypatch.undo()
+        assert len(scores) == len(steps)
+        for got, want in zip(scores, steps):
+            assert got.tobytes() == want.tobytes()
+        scores.clear()
+    assert len(tapes) == len(corpus)
+    for tape in tapes:
+        assert len(tape) == 0
+        with pytest.raises(RuntimeError, match="does not record"):
+            tape.backward(Tensor([[0.0]]))
+
+
 def test_constant_shift_of_direction_scores_keeps_argmax():
     model, sentence = fig_model(seed=5)
     tape = Tape()
