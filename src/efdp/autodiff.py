@@ -180,25 +180,23 @@ class Tape:
 
         return self._push(out, backward)
 
-    def concat(self, *xs: Tensor) -> Tensor:
-        """Stacks row blocks that have the same number of columns.
+    def concat(self, *xs: Tensor, axis: int = 0) -> Tensor:
+        """Joins blocks top to bottom, or left to right with ``axis=1``; their other
+        dimension must agree. A block listed twice sums its gradients.
 
         No finite check: it copies values it was given.
         """
-        if not xs:
-            raise ShapeError("concat of nothing")
-        cols = xs[0].value.shape[1]
-        for x in xs:
-            if x.value.shape[1] != cols:
-                raise ShapeError(f"concat of {cols}-column blocks got shape {x.value.shape}")
-        out = _result(np.concatenate([x.value for x in xs], axis=0))
-        sizes = [x.value.shape[0] for x in xs]
+        try:
+            out = _result(np.concatenate([x.value for x in xs], axis=axis))
+        except ValueError:  # also no blocks, or an axis that is not 0 or 1
+            raise ShapeError(f"concat along axis {axis} of shapes {[x.value.shape for x in xs]}") from None
 
         def backward(g):
             offset = 0
-            for x, size in zip(xs, sizes):
-                _accumulate(x, g[offset : offset + size])
-                offset += size
+            for x in xs:
+                end = offset + x.value.shape[axis]
+                _accumulate(x, g[offset:end] if axis == 0 else g[:, offset:end])
+                offset = end
 
         return self._push(out, backward)
 
@@ -240,26 +238,6 @@ class Tape:
                 x.grad[:, cols] += g
             else:
                 np.add.at(x.grad.T, cols, g.T)  # a repeated column sums its gradients
-
-        return self._push(out, backward)
-
-    def join_columns(self, *xs: Tensor) -> Tensor:
-        """Joins column blocks that have the same number of rows, left to right.
-
-        No finite check: it copies values it was given.
-        """
-        if not xs:
-            raise ShapeError("join_columns of nothing")
-        rows = xs[0].value.shape[0]
-        for x in xs:
-            if x.value.shape[0] != rows:
-                raise ShapeError(f"join_columns of {rows}-row blocks got shape {x.value.shape}")
-        out = _result(np.concatenate([x.value for x in xs], axis=1))
-        bounds = np.cumsum([0] + [x.value.shape[1] for x in xs])
-
-        def backward(g):
-            for x, lo, hi in zip(xs, bounds, bounds[1:]):
-                _accumulate(x, g[:, lo:hi])
 
         return self._push(out, backward)
 

@@ -6,6 +6,7 @@ be read or written, 2 data error.
 
 import argparse
 import logging
+import os
 import sys
 
 from . import evaluate, treebank
@@ -95,6 +96,9 @@ def _load_model(cfg) -> ParserModel:
 
 
 def cmd_train(cfg: Config) -> int:
+    model_path = _require(cfg, "model")  # checked before training, which it would otherwise outlast
+    if os.path.isdir(model_path) or not os.path.isdir(os.path.dirname(model_path) or "."):
+        raise ConfigError(f"model path {model_path} is a directory or in one that does not exist")
     corpus = treebank.read_conll(_require(cfg, "train"))
     dev = None
     if cfg.test:
@@ -116,7 +120,6 @@ def cmd_train(cfg: Config) -> int:
                  100.0 * table.coverage(forms), len(forms))
     model = ParserModel(cfg, vocab, pretrained=table)
     train(projective, model, cfg.epochs, dev=dev)
-    model_path = _require(cfg, "model")
     model.save(model_path)
     log.info("model written to %s", model_path)
     return 0

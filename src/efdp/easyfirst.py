@@ -40,22 +40,23 @@ class Arc:
 
 
 class PendingItem:
-    """One partial structure: its head word plus both child-LSTM states."""
+    """One partial structure: its head word plus the (h, c) states of its child
+    LSTMs, ``states[LEFT]`` and ``states[RIGHT]``."""
 
-    __slots__ = ("head_index", "form", "left_state", "right_state", "enc", "products")
+    __slots__ = ("head_index", "form", "states", "enc", "products")
 
-    def __init__(self, head_index, form, left_state, right_state, enc):
+    def __init__(self, head_index, form, states, enc):
         self.head_index = head_index
         self.form = form
-        self.left_state = left_state
-        self.right_state = right_state
+        self.states = states
         self.enc = enc
         self.products = (None, None, [])  # (enc, tape, [products per scorer MLP]) of the last scored step
 
 
-def encode_node(tape, model, left_h, right_h, label):
-    """Structure encodings from child-LSTM states and last-relation labels, one column each."""
-    body = tape.concat(left_h, right_h, label)
+def encode_node(tape, model, states, label):
+    """Structure encodings from the (h, c) states of both child LSTMs and the
+    last-relation labels, one column each."""
+    body = tape.concat(states[LEFT][0], states[RIGHT][0], label)
     return tape.tanh(tape.add(tape.matmul(model.w_e, body), model.b_e))
 
 
@@ -68,23 +69,15 @@ def init_pending(tape, model, word_vectors, sentence: Sentence) -> list:
     n = len(sentence)
     if not n:
         raise ValueError("cannot initialize pending for an empty sentence")
-    if word_vectors.value.shape[1] != n:
-        raise ValueError(f"{word_vectors.value.shape[1]} word vectors for {n} words")
     nulls = tape.columns(model.null_label, [0] * n)
-    seeds = tape.concat(word_vectors, nulls)
-    left = model.tree_left.step(tape, model.tree_left.project(tape, seeds))
-    right = model.tree_right.step(tape, model.tree_right.project(tape, seeds))
-    enc = encode_node(tape, model, left[0], right[0], nulls)
+    seeds = tape.concat(word_vectors, nulls)  # a ShapeError unless there are n vectors
+    states = [cell.step(tape, cell.project(tape, seeds)) for cell in model.tree]
+    enc = encode_node(tape, model, states, nulls)
     pending = []
     for k, token in enumerate(sentence):
         col = slice(k, k + 1)
-        pending.append(PendingItem(
-            k + 1,
-            token.form,
-            tuple(tape.columns(s, col) for s in left),
-            tuple(tape.columns(s, col) for s in right),
-            tape.columns(enc, col),
-        ))
+        own = [tuple(tape.columns(s, col) for s in state) for state in states]
+        pending.append(PendingItem(k + 1, token.form, own, tape.columns(enc, col)))
     return pending
 
 
@@ -126,7 +119,7 @@ class ActionScorer:
         if self._memo[0] != encs:
             todo = [item for item in pending if item.products[:2] != (item.enc, self.tape)]
             if todo:
-                x = self.tape.join_columns(*(item.enc for item in todo))
+                x = self.tape.concat(*(item.enc for item in todo), axis=1)
                 batch = [self.tape.matmul(m.slot_view, x) for m in self._mlps]
                 for j, item in enumerate(todo):
                     item.products = (item.enc, self.tape, [self.tape.columns(b, slice(j, j + 1)) for b in batch])
@@ -169,12 +162,10 @@ def apply_action(tape, model, pending, k: int, arcs: list) -> None:
     head, dep = head_and_dep(pending, position, direction)
     arcs.append(Arc(head.head_index, dep.head_index, model.rel_names[relation]))
     label = tape.pick_row(model.rel_emb, relation)
+    cell = model.tree[direction]
     child = tape.concat(dep.enc, label)
-    if direction == LEFT:
-        head.left_state = model.tree_left.step(tape, model.tree_left.project(tape, child), head.left_state)
-    else:
-        head.right_state = model.tree_right.step(tape, model.tree_right.project(tape, child), head.right_state)
-    head.enc = encode_node(tape, model, head.left_state[0], head.right_state[0], label)
+    head.states[direction] = cell.step(tape, cell.project(tape, child), head.states[direction])
+    head.enc = encode_node(tape, model, head.states, label)
     pending.remove(dep)
 
 
@@ -190,9 +181,6 @@ def parse(sentence: Sentence, model, scorer=None, trace=None) -> list:
     tape = Tape(record=False)
     arcs = []
     if len(sentence) == 0:
-        return arcs
-    if len(sentence) == 1:
-        arcs.append(Arc(0, 1, model.vocab.root_label))
         return arcs
     vectors = encode_sentence(tape, model, sentence)
     pending = init_pending(tape, model, vectors, sentence)

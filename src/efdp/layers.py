@@ -43,14 +43,12 @@ class LstmCell:
         self.stacked = tuple(Tensor(np.zeros((4 * hidden_size, n))) for n in (input_size, hidden_size, 1))
         for full in self.stacked:
             full.grad = np.zeros_like(full.value)
-        self.w_x, self.w_h, self.b = {}, {}, {}
         for k, gate in enumerate(GATES):
             rows = slice(k * hidden_size, (k + 1) * hidden_size)
             glorot(rng, self.stacked[0].value[rows])
             glorot(rng, self.stacked[1].value[rows])
-            for by_gate, param, full in zip((self.w_x, self.w_h, self.b), ("W_x", "W_h", "b"), self.stacked):
-                by_gate[gate] = store.add(f"{name}/{gate}/{param}", full.value[rows])
-                by_gate[gate].grad = full.grad[rows]
+            for param, full in zip(("W_x", "W_h", "b"), self.stacked):
+                store.add(f"{name}/{gate}/{param}", full.value[rows]).grad = full.grad[rows]
 
     def project(self, tape, x: Tensor) -> Tensor:
         """W_x x + b for k inputs side by side: x is (input_size, k), the result (4H, k)."""
@@ -127,7 +125,7 @@ def _run_cell(tape, cell: LstmCell, x: Tensor, m: int) -> Tensor:
     for t in range(0, z.value.shape[1], m):
         state = cell.step(tape, tape.columns(z, slice(t, t + m)), state)
         hs.append(state[0])
-    return tape.join_columns(*hs)
+    return tape.concat(*hs, axis=1)
 
 
 class Mlp:

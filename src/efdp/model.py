@@ -73,8 +73,8 @@ class ParserModel:
         # child inputs to the tree LSTMs carry the child encoding plus the
         # embedding of its relation, so encodings must match the v dimension
         tree_in = self.v_dim + config.label_dim
-        self.tree_left = LstmCell(store, "tree_left", tree_in, config.tree_hidden, rng)
-        self.tree_right = LstmCell(store, "tree_right", tree_in, config.tree_hidden, rng)
+        self.tree = tuple(LstmCell(store, name, tree_in, config.tree_hidden, rng)
+                          for name in ("tree_left", "tree_right"))  # indexed by direction, LEFT then RIGHT
         self.w_e = store.add("w_e", glorot(rng, np.empty((self.v_dim, 2 * config.tree_hidden + config.label_dim))))
         self.b_e = store.add("b_e", np.zeros((self.v_dim, 1)))
 

@@ -124,10 +124,7 @@ class Trainer:
         self.updates = 0
 
     def _update(self) -> None:
-        total = self.losses[0]
-        for term in self.losses[1:]:
-            total = self.tape.add(total, term)
-        self.tape.backward(total)
+        self.tape.backward(self.tape.sum_all(self.tape.concat(*self.losses, axis=1)))
         cfg = self.model.config
         self.model.store.adam_step(cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
         self.updates += 1

@@ -110,8 +110,8 @@ def test_gradient_integrity():
         store = ParameterStore()
         v_dim, tree_hidden, label_dim = 4, 3, 2
         tree = SimpleNamespace(
-            tree_left=LstmCell(store, "tl", v_dim + label_dim, tree_hidden, rng),
-            tree_right=LstmCell(store, "tr", v_dim + label_dim, tree_hidden, rng),
+            tree=(LstmCell(store, "tl", v_dim + label_dim, tree_hidden, rng),
+                  LstmCell(store, "tr", v_dim + label_dim, tree_hidden, rng)),
             rel_emb=store.add("rel", embedding_init(rng, 3, label_dim)),
             null_label=store.add("null", embedding_init(rng, label_dim, 1)),
             w_e=store.add("we", glorot(rng, np.empty((v_dim, 2 * tree_hidden + label_dim)))),

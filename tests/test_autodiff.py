@@ -47,6 +47,8 @@ def test_shape_errors_name_the_op():
         t.add(Tensor([1.0]), Tensor(np.ones((1, 2))))  # only the right operand broadcasts
     with pytest.raises(ShapeError, match="concat"):
         t.concat(Tensor(np.ones((2, 2))), Tensor(np.ones((2, 1))))
+    with pytest.raises(ShapeError, match="concat"):
+        t.concat()
     with pytest.raises(ShapeError, match="pick_row"):
         t.pick_row(Tensor([1.0]), 3)
     with pytest.raises(ShapeError, match="pick_row"):
@@ -55,8 +57,10 @@ def test_shape_errors_name_the_op():
         t.columns(Tensor(np.ones((2, 3))), [1, 3])
     with pytest.raises(ShapeError, match="columns"):
         t.columns(Tensor(np.ones((2, 3))), slice(3, 4))
-    with pytest.raises(ShapeError, match="join_columns"):
-        t.join_columns(Tensor(np.ones((2, 2))), Tensor(np.ones((3, 2))))
+    with pytest.raises(ShapeError, match="concat"):
+        t.concat(Tensor(np.ones((2, 2))), Tensor(np.ones((3, 2))), axis=1)
+    with pytest.raises(ShapeError, match="concat"):
+        t.concat(axis=1)
     with pytest.raises(ShapeError, match="lstm_gates"):
         t.lstm_gates(Tensor(np.ones((8, 3))), Tensor(np.ones((2, 2))))
     with pytest.raises(ShapeError, match="window_sum"):
@@ -78,7 +82,7 @@ def test_non_finite_forward_is_an_error():
         # an overflow before the fused LSTM gates would read as a saturated gate after them
         store = ParameterStore()
         cell = LstmCell(store, "cell", 2, 3, np.random.default_rng(0))
-        cell.w_x["input"].value[:] = 1e308
+        store["cell/input/W_x"].value[:] = 1e308
         with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
             cell.project(Tape(record), Tensor(np.full((2, 1), 10.0)))
         # window_sum checks nothing itself: a non-finite product raises at the bias add after it
@@ -148,7 +152,7 @@ def test_per_op_gradients_match_finite_differences(op):
     check_gradients(build, store)
 
 
-@pytest.mark.parametrize("op", ["add", "concat", "pick_row", "columns", "join_columns", "lstm_gates",
+@pytest.mark.parametrize("op", ["add", "concat", "pick_row", "columns", "concat_columns", "lstm_gates",
                                 "window_sum"])
 def test_column_batch_gradients_match_finite_differences(op):
     # every operand spans k = 3 columns, or is the one-column bias, row table or cell state fed to them
@@ -170,9 +174,9 @@ def test_column_batch_gradients_match_finite_differences(op):
         elif op == "pick_row":
             out = t.pick_row(y, [2, 0, 2, 1])  # a repeated row sums its columns' gradients
         elif op == "columns":
-            out = t.join_columns(t.columns(ax, [2, 0, 2]), t.columns(ax, slice(1, 3)))
-        elif op == "join_columns":
-            out = t.join_columns(ax, c, ax)
+            out = t.concat(t.columns(ax, [2, 0, 2]), t.columns(ax, slice(1, 3)), axis=1)
+        elif op == "concat_columns":
+            out = t.concat(ax, c, ax, axis=1)  # ax listed twice sums the gradients of both blocks
         elif op == "lstm_gates":
             h, cell = t.lstm_gates(t.concat(ax, t.scale(ax, -0.7)), x)  # H = 2
             out = t.concat(h, cell)

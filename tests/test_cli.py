@@ -548,3 +548,65 @@ UNUSABLE_PATHS = {
 def test_unusable_paths_are_one_line_errors(workdir, capsys, argv):
     assert run(argv(workdir)) == 1
     assert_one_line_error(capsys)
+
+
+def _refuse_to_train(*args, **kwargs):
+    raise AssertionError("training started")
+
+
+@pytest.mark.parametrize("model, message", [(None, "missing required setting: model"),
+                                            ("missing/model.bin", "does not exist")],
+                         ids=["no-model", "model-in-missing-directory"])
+def test_train_checks_the_model_path_before_training(workdir, capsys, monkeypatch, model, message):
+    monkeypatch.setattr(cli, "train", _refuse_to_train)
+    argv = ["train", "--train", workdir / "train.conll", "--epochs", 1]
+    if model is not None:
+        argv += ["--model", workdir / model]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
+def test_train_scores_a_separate_dev_file_each_epoch(workdir, caplog):
+    dev = workdir / "dev.conll"
+    write_conll_file(str(dev), grammar_corpus(seed=9, count=3))
+    caplog.set_level(logging.INFO)
+    assert run(["train", "--config", workdir / "efdp.cfg", "--test", dev]) == 0
+    epochs = [m for m in caplog.messages if m.startswith("epoch ")]
+    assert len(epochs) == 2
+    assert all(" dev_uas " in m and " dev_las " in m for m in epochs)
+
+
+def test_negative_epochs_is_a_config_error(workdir, capsys):
+    assert run(["train", "--config", workdir / "efdp.cfg", "--epochs", -1]) == 1
+    assert_one_line_error(capsys)
+    assert not (workdir / "model.bin").exists()
+
+
+@pytest.mark.parametrize("index", [6, -1])
+def test_trace_index_out_of_range_is_a_data_error(workdir, capsys, index):
+    # _saved_model writes 6 sentences
+    assert run(["trace", *_saved_model(workdir), "--input", workdir / "in.conll", "--index", index]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: sentence index {index} out of range (6 sentences)\n"
+
+
+def test_empty_form_is_a_data_error_naming_its_line(workdir, capsys):
+    bad = workdir / "empty_form.conll"
+    bad.write_text("1\tcon\t_\tN\tN\t_\t2\tdet\t_\t_\n2\t\t_\tN\tN\t_\t0\troot\t_\t_\n", encoding="utf-8")
+    assert run(["eval", bad, bad]) == 2
+    assert capsys.readouterr().err == "error: line 2: empty FORM\n"
+
+
+def test_one_word_sentence_traces_no_step_and_one_root_arc(workdir, capsys):
+    argv = _saved_model(workdir)
+    one = workdir / "one.conll"
+    sentence = read_conll(str(workdir / "in.conll"))[0].tokens[:1]
+    write_conll_file(str(one), [Sentence(sentence)])
+    root_label = ParserModel.load(str(workdir / "model.bin")).vocab.root_label
+    want = write_conll([Sentence(sentence)], [[(0, root_label)]])
+    assert run(["trace", *argv, "--input", one]) == 0
+    assert capsys.readouterr().out == want
+    assert run(["parse", *argv, "--input", one, "--output", "-"]) == 0
+    assert capsys.readouterr().out == want

@@ -58,12 +58,13 @@ class ScriptedScorer:
         return scores
 
 
-def manual_lstm_step(cell, h, c, x):
+def manual_lstm_step(store, cell, h, c, x):
     def sigmoid(z):
         return 1.0 / (1.0 + np.exp(-z))
 
     def pre(gate):
-        return cell.w_x[gate].value @ x + cell.w_h[gate].value @ h + cell.b[gate].value
+        w_x, w_h, b = (store[f"{cell.name}/{gate}/{param}"].value for param in ("W_x", "W_h", "b"))
+        return w_x @ x + w_h @ h + b
 
     i, f, o = sigmoid(pre("input")), sigmoid(pre("forget")), sigmoid(pre("output"))
     g = np.tanh(pre("cand"))
@@ -80,8 +81,8 @@ def test_leaf_encoding_matches_manual_computation():
     for item, v in zip(pending, vectors.value.T):
         seed = np.vstack([v[:, None], null])
         zeros = np.zeros((model.config.tree_hidden, 1))
-        h_l, _ = manual_lstm_step(model.tree_left, zeros, zeros, seed)
-        h_r, _ = manual_lstm_step(model.tree_right, zeros, zeros, seed)
+        h_l, _ = manual_lstm_step(model.store, model.tree[LEFT], zeros, zeros, seed)
+        h_r, _ = manual_lstm_step(model.store, model.tree[RIGHT], zeros, zeros, seed)
         enc = np.tanh(model.w_e.value @ np.vstack([h_l, h_r, null]) + model.b_e.value)
         assert np.allclose(item.enc.value, enc, atol=1e-12)
 
@@ -213,8 +214,9 @@ def test_parse_outputs_are_wellformed_trees():
 def test_single_word_sentence_gets_root_arc():
     model, _ = fig_model()
     sentence = Sentence((Token(1, "có", "V", 0, "root"),))
-    arcs = parse(sentence, model)
-    assert arc_set(arcs) == {(0, 1, "root")}
+    lines = []
+    arcs = parse(sentence, model, trace=lines.append)
+    assert arcs == [Arc(0, 1, "root")] and lines == []
 
 
 def test_parse_executes_n_minus_one_scored_steps():
@@ -417,7 +419,7 @@ def test_first_layer_gradient_through_the_slot_view_matches_the_joined_window(se
     def joined_windows(tape, pending):
         # the window input as the concat of its six slots, through W0 x
         slots = [model.pad_left] * 2 + [item.enc for item in pending] + [model.pad_right] * 3
-        x = tape.join_columns(*(tape.concat(*slots[i - 1 : i + 5]) for i in range(1, len(pending))))
+        x = tape.concat(*(tape.concat(*slots[i - 1 : i + 5]) for i in range(1, len(pending))), axis=1)
         outs = []
         for mlp in (model.mlp_u, model.mlp_r):
             w0, b0, w1, b1 = mlp.w0, mlp.b0, mlp.w1, mlp.b1

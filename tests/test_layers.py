@@ -6,6 +6,8 @@ from efdp.autodiff import ParameterStore, ShapeError, Tape, Tensor
 from efdp.layers import GATES, BiLstm, LstmCell, Mlp
 from helpers import check_gradients
 
+PARAMS = ("W_x", "W_h", "b")  # the per-gate parameters of a cell, named cell/gate/param in its store
+
 
 def make_cell(input_size=3, hidden_size=4, seed=0, name="cell"):
     store = ParameterStore()
@@ -76,11 +78,12 @@ def test_gradient_through_three_chained_steps():
     check_gradients(build, store)
 
 
-def reference_step(t, cell, h_prev, c_prev, x):
+def reference_step(t, store, cell, h_prev, c_prev, x):
     """The per-gate composition of generic tape ops that the fused step replaces."""
 
     def gate(name):
-        pre = t.add(t.add(t.matmul(cell.w_x[name], x), t.matmul(cell.w_h[name], h_prev)), cell.b[name])
+        w_x, w_h, b = (store[f"{cell.name}/{name}/{param}"] for param in PARAMS)
+        pre = t.add(t.add(t.matmul(w_x, x), t.matmul(w_h, h_prev)), b)
         return t.tanh(pre) if name == "cand" else t.logistic(pre)
 
     i, f, o, g = (gate(name) for name in GATES)
@@ -88,10 +91,11 @@ def reference_step(t, cell, h_prev, c_prev, x):
     return t.pointwise_mul(o, t.tanh(c)), c
 
 
-def assert_stacked_blocks_are_the_gate_parameters(cell):
-    for full, by_gate in zip(cell.stacked, (cell.w_x, cell.w_h, cell.b)):
-        assert np.array_equal(full.value, np.vstack([by_gate[g].value for g in GATES]))
-        assert np.array_equal(full.grad, np.vstack([by_gate[g].grad for g in GATES]))
+def assert_stacked_blocks_are_the_gate_parameters(store, cell):
+    for full, param in zip(cell.stacked, PARAMS):
+        by_gate = [store[f"{cell.name}/{gate}/{param}"] for gate in GATES]
+        assert np.array_equal(full.value, np.vstack([p.value for p in by_gate]))
+        assert np.array_equal(full.grad, np.vstack([p.grad for p in by_gate]))
 
 
 @pytest.mark.parametrize("input_size, hidden_size, steps, seed", [(3, 4, 1, 0), (5, 2, 3, 1), (2, 6, 4, 2)])
@@ -121,8 +125,8 @@ def test_fused_step_matches_per_gate_reference(input_size, hidden_size, steps, s
         return cell.step(t, cell.project(t, x), (h, c))
 
     values, grads = run(step)
-    assert_stacked_blocks_are_the_gate_parameters(cell)
-    ref_values, ref_grads = run(lambda t, h, c, x: reference_step(t, cell, h, c, x))
+    assert_stacked_blocks_are_the_gate_parameters(store, cell)
+    ref_values, ref_grads = run(lambda t, h, c, x: reference_step(t, store, cell, h, c, x))
     for got, want in zip(values, ref_values):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
     for name, grad in grads.items():
@@ -130,22 +134,22 @@ def test_fused_step_matches_per_gate_reference(input_size, hidden_size, steps, s
 
     # every write to a parameter or gradient lands in the stacked matrices
     store.adam_step(lr=0.1)
-    assert_stacked_blocks_are_the_gate_parameters(cell)
+    assert_stacked_blocks_are_the_gate_parameters(store, cell)
     other, _ = make_cell(input_size, hidden_size, seed=seed + 50)
     store.load_bytes(other.to_bytes())
-    assert_stacked_blocks_are_the_gate_parameters(cell)
+    assert_stacked_blocks_are_the_gate_parameters(store, cell)
     assert np.array_equal(cell.stacked[1].value[-hidden_size:], other["cell/cand/W_h"].value)
     run(step)
     assert all(full.grad.any() for full in cell.stacked)
     store.zero_grads()
-    assert_stacked_blocks_are_the_gate_parameters(cell)
+    assert_stacked_blocks_are_the_gate_parameters(store, cell)
     assert not any(full.grad.any() for full in cell.stacked)
 
 
 def test_saturated_gates_freeze_the_cell_state():
     store, cell = make_cell(2, 3, seed=1)
-    cell.b["forget"].value[:] = 20.0   # forget gate ~ 1
-    cell.b["input"].value[:] = -20.0   # input gate ~ 0
+    store["cell/forget/b"].value[:] = 20.0   # forget gate ~ 1
+    store["cell/input/b"].value[:] = -20.0   # input gate ~ 0
     c0 = np.random.default_rng(2).uniform(-1, 1, (3, 1))
     t = Tape()
     _, c1 = cell.step(t, cell.project(t, Tensor(np.ones((2, 1)))), (Tensor(np.zeros((3, 1))), Tensor(c0)))
@@ -194,18 +198,17 @@ def test_bilstm_run_is_a_chain_of_project_and_step_each_way():
     assert np.array_equal(b_fin.value, bwd[:, -1:])
 
 
-def copy_weights(src: LstmCell, dst: LstmCell):
-    for gate in src.w_x:
-        dst.w_x[gate].value[:] = src.w_x[gate].value
-        dst.w_h[gate].value[:] = src.w_h[gate].value
-        dst.b[gate].value[:] = src.b[gate].value
+def copy_weights(store, src: LstmCell, dst: LstmCell):
+    for gate in GATES:
+        for param in PARAMS:
+            store[f"{dst.name}/{gate}/{param}"].value[:] = store[f"{src.name}/{gate}/{param}"].value
 
 
 def test_reversed_input_swaps_directions_under_shared_weights():
     store = ParameterStore()
     rng = np.random.default_rng(4)
     net = BiLstm(store, "bi", 3, 4, 1, rng)
-    copy_weights(net.fwd[0], net.bwd[0])
+    copy_weights(store, net.fwd[0], net.bwd[0])
     xs = columns_of([rng.uniform(-1, 1, (3, 1)) for _ in range(5)])
     fwd_out, _, _ = net.run(Tape(), xs, [5])
     rev_out, _, _ = net.run(Tape(), Tensor(xs.value[:, ::-1]), [5])

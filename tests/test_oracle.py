@@ -432,7 +432,7 @@ def test_scores_after_a_mid_sentence_update_use_the_updated_parameters(monkeypat
     class CheckedScorer(ActionScorer):
         def scores(self, pending):
             got = super().scores(pending)
-            copies = [PendingItem(p.head_index, p.form, p.left_state, p.right_state, p.enc) for p in pending]
+            copies = [PendingItem(p.head_index, p.form, list(p.states), p.enc) for p in pending]
             checks.append((not hasattr(self, "seen"), got, ActionScorer(Tape(), self.model).scores(copies)))
             self.seen = True
             return got
