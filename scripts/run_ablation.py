@@ -11,7 +11,7 @@ Example:
         --test auto:test_auto.conll --pretrained vectors.txt --outdir runs/
 
 Exit codes as for `efdp`: 0 success, 1 usage or configuration error or a path
-that cannot be read or written, 2 data error.
+that cannot be read or written, 2 data error, 130 interrupted (Ctrl-C).
 """
 
 import os
@@ -83,7 +83,7 @@ def main(argv=None) -> int:
     ap.add_argument("--punct-tags", default=PUNCT_TAGS, help="comma-separated POS tags")
     try:
         return run(ap.parse_args(argv))
-    except (EfdpError, OSError) as e:
+    except (EfdpError, OSError, KeyboardInterrupt) as e:
         return cli.report(e)
 
 

@@ -1,10 +1,12 @@
 """Command-line entry point: train, parse, eval, and trace subcommands.
 
 Exit codes: 0 success, 1 usage or configuration error or a path that cannot
-be read or written, 2 data error.
+be read or written, 2 data error, 130 interrupted (Ctrl-C). Each error is
+one ``error:`` line on stderr; an error in a file's contents names the file.
 """
 
 import argparse
+import dataclasses
 import logging
 import os
 import sys
@@ -39,6 +41,7 @@ def _build_argparser():
 
     p_train = sub.add_parser("train", help="train a parser on a CoNLL-X treebank")
     common(p_train)
+    p_train.set_defaults(run=lambda args: cmd_train(_resolve_config(args)))
     p_train.add_argument("--train", help="training treebank")
     p_train.add_argument("--test", help="held-out treebank scored each epoch")
     p_train.add_argument("--test-size", type=int, dest="test_size",
@@ -51,10 +54,13 @@ def _build_argparser():
 
     p_parse = sub.add_parser("parse", help="parse a CoNLL-X file with a trained model")
     common(p_parse)
+    p_parse.set_defaults(run=lambda args: cmd_parse(_resolve_config(args), args.input, args.output))
     p_parse.add_argument("--input", required=True)
     p_parse.add_argument("--output", required=True, help="output path, or - for stdout")
 
     p_eval = sub.add_parser("eval", help="score predictions against gold")
+    p_eval.set_defaults(
+        run=lambda args: cmd_eval(args.gold, args.predicted, args.exclude_punct, args.punct_tags))
     p_eval.add_argument("gold")
     p_eval.add_argument("predicted")
     p_eval.add_argument("--exclude-punct", action="store_true")
@@ -62,22 +68,19 @@ def _build_argparser():
 
     p_trace = sub.add_parser("trace", help="print the action trace for one sentence")
     common(p_trace)
+    p_trace.set_defaults(run=lambda args: cmd_trace(_resolve_config(args), args.input, args.index))
     p_trace.add_argument("--input", required=True)
     p_trace.add_argument("--index", type=int, default=0, help="sentence index in the file")
     return top
 
 
 def _resolve_config(args) -> Config:
-    cfg = Config()
-    if getattr(args, "config", None):
-        cfg = load_config(args.config, cfg)
-    for key in ("train", "test", "test_size", "pretrained", "model", "epochs", "seed"):
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(cfg, key, value)
-    for key in ("use_char", "use_pretrained", "word_dropout"):
-        if getattr(args, key, None):
-            setattr(cfg, key, True)
+    """The config file's settings, overridden by every given flag whose dest is a ``Config`` field."""
+    cfg = load_config(args.config) if args.config else Config()
+    for field in dataclasses.fields(cfg):
+        value = getattr(args, field.name, None)
+        if value is not None:  # flags not given parse as None, store_true ones included
+            setattr(cfg, field.name, value)
     cfg.validate()
     return cfg
 
@@ -106,7 +109,7 @@ def cmd_train(cfg: Config) -> int:
     elif cfg.test_size:
         if cfg.test_size >= len(corpus):
             raise ConfigError(f"test size {cfg.test_size} leaves none of {len(corpus)} sentences to train on")
-        corpus, dev = treebank.split_train_test(corpus, cfg.test_size)
+        corpus, dev = corpus[:-cfg.test_size], corpus[-cfg.test_size:]
     table = load_pretrained(_require(cfg, "pretrained")) if cfg.use_pretrained else None
     projective, dropped = treebank.filter_projective(corpus)
     if dropped:
@@ -128,12 +131,11 @@ def cmd_train(cfg: Config) -> int:
 def cmd_parse(cfg: Config, input_path: str, output_path: str) -> int:
     model = _load_model(cfg)
     sentences = treebank.read_conll(input_path, validate=False)
-    text = treebank.write_conll(sentences, [arcs_to_rows(parse(s, model), len(s)) for s in sentences])
+    rows = [arcs_to_rows(parse(s, model), len(s)) for s in sentences]
     if output_path == "-":
-        sys.stdout.write(text)
+        sys.stdout.write(treebank.write_conll(sentences, rows))
     else:
-        with open(output_path, "w", encoding="utf-8") as f:
-            f.write(text)
+        treebank.write_conll_file(output_path, sentences, rows)
     return 0
 
 
@@ -165,8 +167,11 @@ def cmd_trace(cfg: Config, input_path: str, index: int, out=None, scorer=None) -
     return 0
 
 
-def report(error: Exception) -> int:
+def report(error: BaseException) -> int:
     """Prints ``error`` as one ``error:`` line and returns its exit code."""
+    if isinstance(error, KeyboardInterrupt):
+        print("error: interrupted", file=sys.stderr)
+        return 130
     print(f"error: {error}", file=sys.stderr)
     return 2 if isinstance(error, DataError) else 1
 
@@ -176,16 +181,8 @@ def main(argv=None) -> int:
     parser = _build_argparser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "train":
-            return cmd_train(_resolve_config(args))
-        if args.command == "parse":
-            return cmd_parse(_resolve_config(args), args.input, args.output)
-        if args.command == "eval":
-            return cmd_eval(args.gold, args.predicted, args.exclude_punct, args.punct_tags)
-        if args.command == "trace":
-            return cmd_trace(_resolve_config(args), args.input, args.index)
-        raise ConfigError(f"unknown command {args.command!r}")
-    except (EfdpError, OSError) as e:  # OSError: a path that cannot be read or written
+        return args.run(args)
+    except (EfdpError, OSError, KeyboardInterrupt) as e:  # OSError: a path that cannot be read or written
         return report(e)
 
 

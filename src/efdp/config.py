@@ -6,7 +6,7 @@ import typing
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import ConfigError, read_text
+from .errors import ConfigError, parse_file
 
 # model dimensions, each a positive integer
 DIMS = ("word_dim", "pos_dim", "vprime_dim", "sent_hidden", "sent_layers", "char_dim",
@@ -119,4 +119,4 @@ def parse_config(text: str, base: Optional[Config] = None) -> Config:
 
 
 def load_config(path: str, base: Optional[Config] = None) -> Config:
-    return parse_config(read_text(path, ConfigError), base)
+    return parse_file(path, lambda text: parse_config(text, base), ConfigError)

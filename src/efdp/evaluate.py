@@ -51,26 +51,6 @@ def score(gold, predicted, exclude_punct: bool = False, punct_tags: str = PUNCT_
     return EvalResult(uas, las, total, heads, labeled, per_relation)
 
 
-def ablation_records(results) -> list:
-    """Machine-readable rows, one JSON-compatible record per cell.
-
-    ``results`` maps each feature configuration to {condition -> EvalResult}.
-    """
-    records = []
-    for config, row in results.items():
-        for condition, result in row.items():
-            records.append(
-                {
-                    "config": config,
-                    "condition": condition,
-                    "uas": round(result.uas, 2),
-                    "las": round(result.las, 2),
-                    "tokens": result.tokens,
-                }
-            )
-    return records
-
-
 def ablation_report(results) -> str:
     """Aligned text table: one row per feature configuration."""
     conditions = list(dict.fromkeys(c for row in results.values() for c in row)) or ["test"]
@@ -97,4 +77,8 @@ def ablation_report(results) -> str:
 
 
 def format_records(results) -> str:
-    return "\n".join(json.dumps(r, ensure_ascii=False) for r in ablation_records(results)) + "\n"
+    """One JSON line per cell; ``results`` maps each feature configuration to {condition -> EvalResult}."""
+    records = ({"config": config, "condition": condition, "uas": round(result.uas, 2),
+                "las": round(result.las, 2), "tokens": result.tokens}
+               for config, row in results.items() for condition, result in row.items())
+    return "\n".join(json.dumps(r, ensure_ascii=False) for r in records) + "\n"

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor
-from .errors import DataError, read_text
+from .errors import DataError, parse_file
 
 UNK_ID = 0
 PAD_ID = 1
@@ -179,7 +179,7 @@ def parse_pretrained(text: str) -> PretrainedTable:
 
 
 def load_pretrained(path: str) -> PretrainedTable:
-    return parse_pretrained(read_text(path, DataError))
+    return parse_file(path, parse_pretrained, DataError)
 
 
 def char_compose(tape, model, forms) -> Tensor:

@@ -1,4 +1,4 @@
-"""CoNLL-X treebank reading, writing, validation, and splitting.
+"""CoNLL-X treebank reading, writing and validation.
 
 Tokens keep four fields: surface form (Vietnamese multi-syllable words use
 underscores internally), POS tag, head index (0 = artificial root), and the
@@ -7,7 +7,7 @@ relation label. Text is UTF-8 and never case-folded or normalized.
 
 from dataclasses import dataclass
 
-from .errors import ConllError, TreeError, read_text
+from .errors import ConllError, TreeError, parse_file
 
 N_COLUMNS = 10
 
@@ -133,7 +133,7 @@ def validate_tree(sentence: Sentence, label: str = "sentence") -> None:
 
 
 def read_conll(path: str, validate: bool = True) -> list:
-    return parse_conll(read_text(path, ConllError), validate=validate)
+    return parse_file(path, lambda text: parse_conll(text, validate=validate), ConllError)
 
 
 def write_conll(sentences, predicted=None) -> str:
@@ -190,16 +190,6 @@ def is_projective(sentence: Sentence) -> bool:
             if lo1 < lo2 < hi1 < hi2 or lo2 < lo1 < hi2 < hi1:
                 return False
     return True
-
-
-def split_train_test(sentences, test_size: int):
-    """(train, test): the final ``test_size`` sentences in file order are held out."""
-    if test_size > len(sentences):
-        raise ValueError(
-            f"test size {test_size} exceeds corpus size {len(sentences)}"
-        )
-    cut = len(sentences) - test_size
-    return list(sentences[:cut]), list(sentences[cut:])
 
 
 def filter_projective(sentences):

@@ -217,15 +217,56 @@ def test_train_logs_pretrained_coverage(workdir, caplog):
     assert expected in caplog.messages
 
 
-def test_split_holdout_from_single_file(workdir, capsys):
+def test_split_holdout_from_single_file(workdir, monkeypatch):
     cfg = workdir / "split.cfg"
     cfg.write_text(
         (workdir / "efdp.cfg").read_text().replace("model.bin", "split_model.bin")
         + "test_size = 3\nepochs = 1\n",
         encoding="utf-8",
     )
+    seen = []
+    real_train = cli.train
+
+    def spy(corpus, model, epochs, dev=None):
+        seen.append((corpus, dev))
+        return real_train(corpus, model, epochs, dev=dev)
+
+    monkeypatch.setattr(cli, "train", spy)
     assert run(["train", "--config", cfg]) == 0
     assert (workdir / "split_model.bin").exists()
+    sentences = read_conll(str(workdir / "train.conll"))
+    assert seen == [(sentences[:-3], sentences[-3:])]  # the file's last 3 sentences are held out
+
+
+def test_flags_override_the_config_file_and_absent_flags_keep_it(workdir, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "train", lambda corpus, model, epochs, dev=None: seen.append((model.config, dev)))
+    cfg = workdir / "set.cfg"
+    for use_char in ("true", "false"):
+        cfg.write_text((workdir / "efdp.cfg").read_text() + f"test_size = 3\nuse_char = {use_char}\n",
+                       encoding="utf-8")
+        assert run(["train", "--config", cfg]) == 0
+        assert run(["train", "--config", cfg, "--model", workdir / "flag.bin", "--seed", 0,
+                    "--test-size", 0, "--use-char"]) == 0
+    (kept, kept_dev), (given, given_dev), (kept_off, _), (given_on, _) = seen
+    assert (kept.model, kept.seed, kept.test_size, kept.use_char) == (str(workdir / "model.bin"), 3, 3, True)
+    assert len(kept_dev) == 3
+    assert (given.model, given.seed, given.test_size, given.use_char) == (str(workdir / "flag.bin"), 0, 0, True)
+    assert given_dev is None
+    assert kept_off.use_char is False and given_on.use_char is True
+    assert (workdir / "model.bin").exists() and (workdir / "flag.bin").exists()
+
+
+def _interrupt(*args, **kwargs):
+    raise KeyboardInterrupt
+
+
+def test_an_interrupt_is_one_error_line_and_exit_130(workdir, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "train", _interrupt)
+    assert run(["train", "--config", workdir / "efdp.cfg"]) == 130
+    captured = capsys.readouterr()
+    assert captured.err == "error: interrupted\n" and captured.out == ""
+    assert not (workdir / "model.bin").exists()
 
 
 def test_reloaded_model_reproduces_dev_scores(tmp_path):
@@ -271,7 +312,8 @@ def test_non_utf8_treebank_is_a_data_error(workdir, capsys):
     bad = workdir / "latin1.conll"
     bad.write_bytes(NOT_UTF8)
     assert run(["eval", bad, bad]) == 2
-    assert_one_line_error(capsys)
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: not UTF-8 text (") and err.count(str(bad)) == 1 and err.count("\n") == 1
 
 
 def test_non_utf8_config_is_a_config_error(workdir, capsys):
@@ -592,11 +634,38 @@ def test_trace_index_out_of_range_is_a_data_error(workdir, capsys, index):
     assert captured.err == f"error: sentence index {index} out of range (6 sentences)\n"
 
 
+EMPTY_FORM = "1\tcon\t_\tN\tN\t_\t2\tdet\t_\t_\n2\t\t_\tN\tN\t_\t0\troot\t_\t_\n"
+
+
 def test_empty_form_is_a_data_error_naming_its_line(workdir, capsys):
     bad = workdir / "empty_form.conll"
-    bad.write_text("1\tcon\t_\tN\tN\t_\t2\tdet\t_\t_\n2\t\t_\tN\tN\t_\t0\troot\t_\t_\n", encoding="utf-8")
+    bad.write_text(EMPTY_FORM, encoding="utf-8")
     assert run(["eval", bad, bad]) == 2
-    assert capsys.readouterr().err == "error: line 2: empty FORM\n"
+    assert capsys.readouterr().err == f"error: {bad}: line 2: empty FORM\n"
+
+
+def test_a_bad_predicted_file_is_named_and_the_gold_file_is_not(workdir, capsys):
+    gold = workdir / "gold.conll"
+    write_conll_file(str(gold), grammar_corpus(seed=9, count=2))
+    bad = workdir / "pred.conll"
+    bad.write_text(EMPTY_FORM, encoding="utf-8")
+    assert run(["eval", gold, bad]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: line 2: empty FORM\n"
+
+
+def test_a_bad_embedding_line_names_its_file(workdir, capsys):
+    bad = workdir / "bad.vec"
+    bad.write_text("w 0.1 0.2\nv 0.3\n", encoding="utf-8")
+    assert run(["train", "--config", workdir / "efdp.cfg", "--use-pretrained", "--pretrained", bad]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: line 2: dimension 1 != expected 2\n"
+    assert not (workdir / "model.bin").exists()
+
+
+def test_a_bad_config_line_names_its_file(workdir, capsys):
+    bad = workdir / "bad.cfg"
+    bad.write_text("epochs = 1\njust some words\n", encoding="utf-8")
+    assert run(["train", "--config", bad]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: config line 2: expected key=value, got 'just some words'\n"
 
 
 def test_one_word_sentence_traces_no_step_and_one_root_arc(workdir, capsys):

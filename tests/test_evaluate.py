@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -8,8 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from efdp import cli
 from efdp.errors import DataError
-from efdp.evaluate import EvalResult, ablation_records, ablation_report, format_records, score
+from efdp.evaluate import EvalResult, ablation_report, format_records, score
 from efdp.synthetic import random_sentence, toy_corpus
 from efdp.treebank import Sentence, Token, write_conll_file
 from helpers import TINY
@@ -149,13 +151,23 @@ def test_condition_columns_and_records():
     report = ablation_report(results)
     assert "gold UAS%" in report and "auto LAS%" in report
     assert report.count("\n") == 4
-    records = ablation_records(results)
-    assert len(records) == 3
-    parsed = [json.loads(line) for line in format_records(results).strip().split("\n")]
-    assert parsed == records
+    text = format_records(results)
+    assert text.endswith("}\n") and text.count("\n") == 3
+    records = [json.loads(line) for line in text.split("\n")[:-1]]
+    assert records == [
+        {"config": "word+pos", "condition": "gold", "uas": 79.29, "las": 71.44, "tokens": 100},
+        {"config": "word+pos", "condition": "auto", "uas": 77.51, "las": 68.27, "tokens": 100},
+        {"config": "word+pos+char", "condition": "gold", "uas": 80.58, "las": 72.95, "tokens": 100},
+    ]
+    assert [list(r) for r in records] == [["config", "condition", "uas", "las", "tokens"]] * 3
     by_key = {(r["config"], r["condition"]): r for r in records}
     delta = by_key[("word+pos+char", "gold")]["uas"] - by_key[("word+pos", "gold")]["uas"]
     assert delta == pytest.approx(1.29)
+
+
+def test_records_of_no_results_are_one_empty_line():
+    assert format_records({}) == "\n"
+    assert format_records({"word+pos": {}}) == "\n"
 
 
 def run_ablation(*argv):
@@ -195,3 +207,24 @@ def test_ablation_script_without_a_projective_training_sentence_is_a_data_error(
     errors = [line for line in done.stderr.splitlines() if line.startswith("error: ")]
     assert errors == ["error: no projective sentences left to train on"]
     assert "Traceback" not in done.stderr
+
+
+def _interrupt(*args, **kwargs):
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("target", ["train", "score_file"])
+def test_an_interrupted_ablation_run_is_one_error_line(tmp_path, capsys, monkeypatch, target):
+    # interrupted inside `efdp train`, which cli.main reports, and between commands, which the script reports
+    spec = importlib.util.spec_from_file_location("run_ablation", ROOT / "scripts" / "run_ablation.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    train = tmp_path / "train.conll"
+    write_conll_file(str(train), toy_corpus(seed=3, count=6, n_min=3, n_max=6))
+    cfg = tmp_path / "base.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in TINY.items()) + "epochs = 1\n", encoding="utf-8")
+    monkeypatch.setattr(cli, target, _interrupt)
+    argv = ["--train", train, "--test", f"gold:{train}", "--config", cfg, "--outdir", tmp_path / "runs"]
+    assert script.main([str(a) for a in argv]) == 130
+    captured = capsys.readouterr()
+    assert captured.err == "error: interrupted\n" and captured.out == ""

@@ -10,7 +10,6 @@ from efdp.treebank import (
     filter_projective,
     is_projective,
     parse_conll,
-    split_train_test,
     validate_tree,
     write_conll,
 )
@@ -172,14 +171,6 @@ def test_projectivity_matches_descendant_definition(seed, n):
     rng = np.random.default_rng(seed)
     s = make_sentence(random_tree_heads(rng, n))
     assert is_projective(s) == descendants_projective(s)
-
-
-def test_split_train_test():
-    corpus = [make_sentence([0]) for _ in range(5)]
-    assert split_train_test(corpus, 2) == (corpus[:3], corpus[3:])
-    assert split_train_test(corpus, 0) == (corpus, [])
-    with pytest.raises(ValueError):
-        split_train_test(corpus, 6)
 
 
 def test_filter_projective():
