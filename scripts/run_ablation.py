@@ -18,7 +18,7 @@ import os
 import sys
 
 from efdp import cli
-from efdp.errors import EfdpError
+from efdp.errors import ConfigError, EfdpError
 from efdp.evaluate import PUNCT_TAGS, ablation_report, format_records
 from efdp.treebank import read_conll
 
@@ -33,9 +33,11 @@ CONFIGS = (
 def run(args) -> int:
     conditions = {}
     for entry in args.test:
-        name, _, path = entry.partition(":")
-        path = path or name
-        conditions[name or "test"] = path, read_conll(path)  # fail before any training
+        name, colon, path = entry.partition(":")
+        name, path = (name or "test", path) if colon else ("test", entry)
+        if name in conditions:
+            raise ConfigError(f"test condition {name!r} given twice")
+        conditions[name] = path, read_conll(path)  # fail before any training
 
     base = ["--config", args.config] if args.config else []
     results = {}
@@ -74,7 +76,8 @@ def main(argv=None) -> int:
         "--test",
         action="append",
         required=True,
-        help="condition:path, repeatable (e.g. gold:test.conll auto:test_auto.conll)",
+        help="condition:path, repeatable (e.g. gold:test.conll auto:test_auto.conll); "
+        "a bare path is the condition test",
     )
     ap.add_argument("--pretrained", help="embedding file; enables the pretrained rows")
     ap.add_argument("--config", help="base key=value config for dims/epochs/seed/test or test_size")

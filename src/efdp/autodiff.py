@@ -376,7 +376,7 @@ class ParameterStore:
         for t in self._params.values():
             t.grad[:] = 0.0
 
-    def adam_step(self, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+    def adam_step(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
         """Standard Adam update with bias correction; grads are zeroed after."""
         self.step_count += 1
         t = self.step_count

@@ -1,8 +1,9 @@
 """Command-line entry point: train, parse, eval, and trace subcommands.
 
-Exit codes: 0 success, 1 usage or configuration error or a path that cannot
-be read or written, 2 data error, 130 interrupted (Ctrl-C). Each error is
-one ``error:`` line on stderr; an error in a file's contents names the file.
+Exit codes: 0 success, 1 usage or configuration error, a path that cannot
+be read or written, or a forward pass that overflowed (as a too-large ``lr``
+makes it), 2 data error, 130 interrupted (Ctrl-C). Each error is one
+``error:`` line on stderr; an error in a file's contents names the file.
 """
 
 import argparse
@@ -92,12 +93,6 @@ def _require(cfg, name):
     return value
 
 
-def _load_model(cfg) -> ParserModel:
-    """The model at ``cfg.model``; the embedding file is read only when its meta file asks for one."""
-    return ParserModel.load(_require(cfg, "model"),
-                            pretrained=lambda: load_pretrained(cfg.pretrained) if cfg.pretrained else None)
-
-
 def cmd_train(cfg: Config) -> int:
     model_path = _require(cfg, "model")  # checked before training, which it would otherwise outlast
     if os.path.isdir(model_path) or not os.path.isdir(os.path.dirname(model_path) or "."):
@@ -116,7 +111,7 @@ def cmd_train(cfg: Config) -> int:
         log.info("excluded %d non-projective sentences from training", dropped)
     if not projective:
         raise DataError("no projective sentences left to train on")
-    vocab = build_vocab(projective, cfg.min_word_freq)
+    vocab = build_vocab(projective)
     if table is not None:
         forms = {t.form for sentence in projective for t in sentence}
         log.info("pretrained vectors cover %.2f%% of %d training word forms",
@@ -129,7 +124,7 @@ def cmd_train(cfg: Config) -> int:
 
 
 def cmd_parse(cfg: Config, input_path: str, output_path: str) -> int:
-    model = _load_model(cfg)
+    model = ParserModel.load(_require(cfg, "model"), cfg.pretrained)
     sentences = treebank.read_conll(input_path, validate=False)
     rows = [arcs_to_rows(parse(s, model), len(s)) for s in sentences]
     if output_path == "-":
@@ -157,7 +152,7 @@ def cmd_eval(gold_path: str, predicted_path: str, exclude_punct: bool, punct_tag
 
 def cmd_trace(cfg: Config, input_path: str, index: int, out=None, scorer=None) -> int:
     out = out or sys.stdout
-    model = _load_model(cfg)
+    model = ParserModel.load(_require(cfg, "model"), cfg.pretrained)
     sentences = treebank.read_conll(input_path, validate=False)
     if not 0 <= index < len(sentences):
         raise DataError(f"sentence index {index} out of range ({len(sentences)} sentences)")
@@ -179,10 +174,11 @@ def report(error: BaseException) -> int:
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(message)s", stream=sys.stderr)
     parser = _build_argparser()
+    # OSError: a path that cannot be read or written; FloatingPointError: a forward pass that overflowed
     try:
         args = parser.parse_args(argv)
         return args.run(args)
-    except (EfdpError, OSError, KeyboardInterrupt) as e:  # OSError: a path that cannot be read or written
+    except (EfdpError, OSError, FloatingPointError, KeyboardInterrupt) as e:
         return report(e)
 
 

@@ -1,6 +1,5 @@
 """Run configuration: a flat dataclass loadable from key=value text files."""
 
-import dataclasses
 import math
 import typing
 from dataclasses import dataclass
@@ -40,14 +39,10 @@ class Config:
     mlp_hidden: int = 100
     # optimizer
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     # training protocol
     seed: int = 1
     epochs: int = 15
     error_batch: int = 50  # update once accumulated errors exceed this
-    min_word_freq: int = 1
     test_size: Optional[int] = None  # hold out the last N sentences of train
 
     def validate(self) -> None:
@@ -62,17 +57,12 @@ class Config:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.test_size is not None and self.test_size < 0:
             raise ConfigError(f"test_size must be >= 0, got {self.test_size}")
-        for name in ("beta1", "beta2"):
-            value = getattr(self, name)
-            if not 0.0 <= value < 1.0:
-                raise ConfigError(f"{name} must be in [0, 1), got {value}")
-        for name in ("lr", "adam_eps", "dropout_alpha"):
+        for name in ("lr", "dropout_alpha"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:  # also false for nan
                 raise ConfigError(f"{name} must be finite and positive, got {value}")
 
 
-_FIELDS = {f.name: f for f in dataclasses.fields(Config)}
 _HINTS = typing.get_type_hints(Config)
 
 
@@ -102,9 +92,9 @@ def _coerce(name: str, raw: str):
     return raw
 
 
-def parse_config(text: str, base: Optional[Config] = None) -> Config:
+def parse_config(text: str) -> Config:
     """Parse `key = value` lines; `#` starts a comment, blank lines are skipped."""
-    cfg = dataclasses.replace(base) if base is not None else Config()
+    cfg = Config()
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -112,11 +102,11 @@ def parse_config(text: str, base: Optional[Config] = None) -> Config:
         if "=" not in line:
             raise ConfigError(f"config line {lineno}: expected key=value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _FIELDS:
+        if key not in _HINTS:
             raise ConfigError(f"config line {lineno}: unknown key {key!r}")
         setattr(cfg, key, _coerce(key, value))
     return cfg
 
 
-def load_config(path: str, base: Optional[Config] = None) -> Config:
-    return parse_file(path, lambda text: parse_config(text, base), ConfigError)
+def load_config(path: str) -> Config:
+    return parse_file(path, parse_config, ConfigError)

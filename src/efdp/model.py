@@ -17,7 +17,7 @@ from .config import DIMS, Config
 from .easyfirst import WINDOW_SLOTS
 from .errors import ConfigError, DataError
 from .layers import BiLstm, LstmCell, Mlp, embedding_init, glorot
-from .represent import PretrainedTable, Vocab
+from .represent import PretrainedTable, Vocab, load_pretrained
 
 META_VERSION = 1
 
@@ -113,8 +113,8 @@ class ParserModel:
                     os.remove(tmp)
 
     @classmethod
-    def load(cls, path: str, pretrained=None) -> "ParserModel":
-        """The model at ``path``; ``pretrained`` is its embedding table, or a function called for one if needed."""
+    def load(cls, path: str, pretrained: str = None) -> "ParserModel":
+        """The model at ``path``; ``pretrained`` is the embedding file's path, read only if the model needs it."""
         try:
             with open(meta_path(path), encoding="utf-8") as f:
                 meta = json.load(f)  # JSONDecodeError and UnicodeDecodeError are ValueErrors
@@ -132,17 +132,15 @@ class ParserModel:
             raise DataError(f"malformed model metadata {meta_path(path)}: {e}") from None
         except (KeyError, TypeError) as e:
             raise DataError(f"malformed model metadata {meta_path(path)}: {e!r}") from None
-        if not cfg.use_pretrained:
-            pretrained = None
-        else:
-            if callable(pretrained):
-                pretrained = pretrained()
-            if pretrained is None:
+        table = None
+        if cfg.use_pretrained:
+            if not pretrained:
                 raise ConfigError("model was trained with pretrained embeddings; pass the embedding file")
-            if dim != pretrained.dim:
-                raise ConfigError(f"embedding file has dimension {pretrained.dim}, the model expects {dim}")
+            table = load_pretrained(pretrained)
+            if dim != table.dim:
+                raise ConfigError(f"embedding file has dimension {table.dim}, the model expects {dim}")
         try:
-            model = cls(cfg, Vocab.from_meta(meta["vocab"]), pretrained=pretrained)
+            model = cls(cfg, Vocab.from_meta(meta["vocab"]), pretrained=table)
         except (KeyError, TypeError, ValueError, MemoryError) as e:  # dims come from the file
             raise DataError(f"malformed model metadata {meta_path(path)}: {e!r}") from None
         with open(path, "rb") as f:  # mmap refuses an empty file, which fails the header check as b""

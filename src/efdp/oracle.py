@@ -125,8 +125,7 @@ class Trainer:
 
     def _update(self) -> None:
         self.tape.backward(self.tape.sum_all(self.tape.concat(*self.losses, axis=1)))
-        cfg = self.model.config
-        self.model.store.adam_step(cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
+        self.model.store.adam_step(self.model.config.lr)
         self.updates += 1
         self.tape = Tape()
         self.losses = []

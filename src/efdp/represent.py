@@ -82,17 +82,14 @@ class Vocab:
         )
 
 
-def build_vocab(train, min_word_freq: int = 1) -> Vocab:
+def build_vocab(train) -> Vocab:
     """Index words, tags, characters, and relations seen in training data.
 
-    Words rarer than ``min_word_freq`` map to the unknown id. Ids follow
-    first-occurrence order, so the same corpus always yields the same vocab.
+    Ids follow first-occurrence order, so the same corpus always yields the same vocab.
     """
     if not train:
         raise DataError("cannot build a vocabulary from an empty corpus")
-    freq = Counter()
-    for sentence in train:
-        freq.update(t.form for t in sentence)
+    freq = Counter(t.form for sentence in train for t in sentence)
     words = {_RESERVED[0]: UNK_ID, _RESERVED[1]: PAD_ID}
     pos = {_RESERVED[0]: UNK_ID, _RESERVED[1]: PAD_ID}
     chars = {_RESERVED[0]: UNK_ID, _RESERVED[1]: PAD_ID}
@@ -100,7 +97,7 @@ def build_vocab(train, min_word_freq: int = 1) -> Vocab:
     root_counts = Counter()
     for sentence in train:
         for t in sentence:
-            if freq[t.form] >= min_word_freq and t.form not in words:
+            if t.form not in words:
                 words[t.form] = len(words)
             if t.pos not in pos:
                 pos[t.pos] = len(pos)

@@ -54,19 +54,29 @@ def test_config_validation():
         Config(word_dim=0).validate()
     with pytest.raises(ConfigError, match="error_batch"):
         Config(error_batch=0).validate()
-    for bad in (dict(test_size=-3), dict(beta1=1.0), dict(beta1=-0.1), dict(beta2=1.0),
-                dict(lr=float("nan")), dict(lr=float("inf")), dict(adam_eps=0.0),
+    for bad in (dict(test_size=-3), dict(lr=float("nan")), dict(lr=float("inf")), dict(lr=0.0),
                 dict(dropout_alpha=-1.0), dict(seed=-1)):
         (name,) = bad
         with pytest.raises(ConfigError, match=name):
             Config(**bad).validate()
-    Config(test_size=0, beta1=0.0, beta2=0.0, seed=0).validate()
+    Config(test_size=0, seed=0).validate()
 
 
 @pytest.mark.parametrize("size", [-3, 12, 13, 999])
 def test_out_of_range_test_size_is_a_config_error(workdir, capsys, size):
     assert run(["train", "--config", workdir / "efdp.cfg", "--test-size", size]) == 1
     assert_one_line_error(capsys)
+    assert not (workdir / "model.bin").exists()
+
+
+def test_an_overflowing_forward_pass_is_one_error_line(workdir, capsys):
+    cfg = workdir / "overflow.cfg"
+    cfg.write_text((workdir / "efdp.cfg").read_text() + "lr = 1e200\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run(["train", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error: ")] == err.splitlines()[-1:]
+    assert "non-finite values" in err and "Traceback" not in err
     assert not (workdir / "model.bin").exists()
 
 
@@ -482,7 +492,7 @@ def pretrained_workdir(workdir):
 
 def test_parse_and_trace_take_the_embedding_file_a_model_needs(pretrained_workdir, capsys):
     d = pretrained_workdir
-    model = ParserModel.load(str(d / "model.bin"), pretrained=load_pretrained(str(d / "vec.txt")))
+    model = ParserModel.load(str(d / "model.bin"), pretrained=str(d / "vec.txt"))
     sentences = read_conll(str(d / "train.conll"))
     steps = []
     traced = parse(sentences[1], model, trace=steps.append)
@@ -502,9 +512,8 @@ def test_parse_and_trace_take_the_embedding_file_a_model_needs(pretrained_workdi
 def test_a_pretrained_model_needs_its_embedding_file_at_its_dimension(
         pretrained_workdir, capsys, command, vectors, message):
     d = pretrained_workdir
-    table = load_pretrained(str(d / vectors)) if vectors else None
     with pytest.raises(ConfigError, match=message):
-        ParserModel.load(str(d / "model.bin"), pretrained=table)
+        ParserModel.load(str(d / "model.bin"), pretrained=str(d / vectors) if vectors else None)
     argv = [command, "--model", d / "model.bin", "--input", d / "train.conll"]
     argv += ["--pretrained", d / vectors] if vectors else []
     argv += ["--output", d / "out.conll"] if command == "parse" else []
@@ -535,15 +544,28 @@ def test_a_model_without_pretrained_vectors_never_reads_an_embedding_file(workdi
         load_pretrained(str(bad))
 
 
-@pytest.mark.parametrize("line", ["exclude_punct = true", "punct_tags = CH", "pretrained_dim = 3"])
+def test_a_word_pos_model_loads_beside_a_missing_embedding_file(tmp_path):
+    model, _ = tiny_model(seed=4)
+    path = str(tmp_path / "model.bin")
+    model.save(path)
+    loaded = ParserModel.load(path, pretrained=str(tmp_path / "missing.vec"))
+    assert loaded.pretrained is None and loaded.store.to_bytes() == model.store.to_bytes()
+
+
+@pytest.mark.parametrize("line", ["exclude_punct = true", "punct_tags = CH", "pretrained_dim = 3", "beta1 = 0.9",
+                                  "beta2 = 0.999", "adam_eps = 1e-8", "min_word_freq = 2"])
 def test_settings_owned_elsewhere_are_unknown_config_keys(workdir, capsys, line):
-    # punctuation belongs to `efdp eval`'s flags, the embedding dimension to its file
+    # punctuation belongs to `efdp eval`'s flags, the embedding dimension to its file,
+    # Adam's constants to `adam_step`; every training word form is in the vocabulary
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config(line + "\n")
     cfg = workdir / "owned.cfg"
-    cfg.write_text((workdir / "efdp.cfg").read_text() + line + "\n", encoding="utf-8")
+    text = (workdir / "efdp.cfg").read_text()
+    cfg.write_text(text + line + "\n", encoding="utf-8")
+    capsys.readouterr()
     assert run(["train", "--config", cfg]) == 1
-    assert_one_line_error(capsys)
+    key, lineno = line.split(" =")[0], text.count("\n") + 1
+    assert capsys.readouterr().err == f"error: {cfg}: config line {lineno}: unknown key {key!r}\n"
     assert not (workdir / "model.bin").exists()
 
 

@@ -209,22 +209,45 @@ def test_ablation_script_without_a_projective_training_sentence_is_a_data_error(
     assert "Traceback" not in done.stderr
 
 
+@pytest.fixture()
+def ablation(tmp_path):
+    """The ablation script's ``main`` run in-process with ``--train train.conll`` (6 sentences),
+    a 1-epoch tiny-dims ``--config`` and ``--outdir runs``, all under ``tmp_path``."""
+    spec = importlib.util.spec_from_file_location("run_ablation", ROOT / "scripts" / "run_ablation.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    write_conll_file(str(tmp_path / "train.conll"), toy_corpus(seed=3, count=6, n_min=3, n_max=6))
+    cfg = tmp_path / "base.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in TINY.items()) + "epochs = 1\n", encoding="utf-8")
+    given = ["--train", tmp_path / "train.conll", "--config", cfg, "--outdir", tmp_path / "runs"]
+    return lambda *argv: script.main([str(a) for a in [*given, *argv]])
+
+
 def _interrupt(*args, **kwargs):
     raise KeyboardInterrupt
 
 
 @pytest.mark.parametrize("target", ["train", "score_file"])
-def test_an_interrupted_ablation_run_is_one_error_line(tmp_path, capsys, monkeypatch, target):
+def test_an_interrupted_ablation_run_is_one_error_line(tmp_path, capsys, monkeypatch, ablation, target):
     # interrupted inside `efdp train`, which cli.main reports, and between commands, which the script reports
-    spec = importlib.util.spec_from_file_location("run_ablation", ROOT / "scripts" / "run_ablation.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    train = tmp_path / "train.conll"
-    write_conll_file(str(train), toy_corpus(seed=3, count=6, n_min=3, n_max=6))
-    cfg = tmp_path / "base.cfg"
-    cfg.write_text("".join(f"{k} = {v}\n" for k, v in TINY.items()) + "epochs = 1\n", encoding="utf-8")
     monkeypatch.setattr(cli, target, _interrupt)
-    argv = ["--train", train, "--test", f"gold:{train}", "--config", cfg, "--outdir", tmp_path / "runs"]
-    assert script.main([str(a) for a in argv]) == 130
+    assert ablation("--test", f"gold:{tmp_path / 'train.conll'}") == 130
     captured = capsys.readouterr()
     assert captured.err == "error: interrupted\n" and captured.out == ""
+
+
+def test_a_test_file_without_a_condition_is_the_condition_test(tmp_path, ablation):
+    assert ablation("--test", tmp_path / "train.conll") == 0
+    lines = (tmp_path / "runs" / "ablation.jsonl").read_text(encoding="utf-8").splitlines()
+    records = [json.loads(line) for line in lines]
+    assert [(r["config"], r["condition"]) for r in records] == [("word+pos", "test"), ("+char", "test")]
+    assert (tmp_path / "runs" / "model_word_pos.test.conll").exists()
+
+
+@pytest.mark.parametrize("first, second, condition", [("gold:", "gold:", "gold"), ("", "test:", "test")])
+def test_a_condition_given_twice_is_a_config_error_before_training(
+        tmp_path, capsys, ablation, first, second, condition):
+    train = tmp_path / "train.conll"
+    assert ablation("--test", f"{first}{train}", "--test", f"{second}{train}") == 1
+    assert capsys.readouterr().err == f"error: test condition {condition!r} given twice\n"
+    assert not (tmp_path / "runs").exists()

@@ -27,7 +27,7 @@ from helpers import tiny_model
 
 CONLL = write_conll(toy_corpus(seed=1, count=3, n_min=2, n_max=4))
 CONFIG = (
-    "train = t.conll\nepochs = 2\nseed = 3\nlr = 0.001\nbeta1 = 0.9\n"
+    "train = t.conll\nepochs = 2\nseed = 3\nlr = 0.001\ndropout_alpha = 0.25\n"
     "use_char = true\ntest_size = 3\nword_dim = 5\ntest = none\n"
 )
 PRETRAINED = "3 2\nxin 0.5 -1.0\nchào 0.25 1e-3\n<unk> 0 0\n"

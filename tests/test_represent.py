@@ -44,14 +44,6 @@ def test_relation_count_and_ids():
     assert vocab.root_label == "root"
 
 
-def test_min_frequency_maps_hapaxes_to_unk():
-    vocab = build_vocab(CORPUS, min_word_freq=2)
-    assert vocab.word_id("Tôi") == UNK_ID  # hapax
-    assert vocab.word_id("con_mèo") == UNK_ID
-    vocab1 = build_vocab(CORPUS, min_word_freq=1)
-    assert vocab1.word_id("Tôi") != UNK_ID
-
-
 def test_vocab_is_deterministic():
     a = build_vocab(CORPUS)
     b = build_vocab(CORPUS)
