@@ -30,9 +30,9 @@ class SerializationError(DataError):
 
 
 class Tensor:
-    __slots__ = ("value", "grad", "name")
+    __slots__ = ("value", "grad")
 
-    def __init__(self, value, name: str = ""):
+    def __init__(self, value):
         v = np.asarray(value, dtype=np.float64)
         if v.ndim == 1:
             v = v.reshape(-1, 1)
@@ -40,7 +40,6 @@ class Tensor:
             raise ShapeError(f"tensors are 2-D, got shape {v.shape}")
         self.value = v
         self.grad = None
-        self.name = name
 
     def item(self) -> float:
         if self.value.size != 1:
@@ -48,8 +47,7 @@ class Tensor:
         return float(self.value[0, 0])
 
     def __repr__(self):
-        tag = f" {self.name!r}" if self.name else ""
-        return f"Tensor{tag}{self.value.shape}"
+        return f"Tensor{self.value.shape}"
 
 
 def _result(value: np.ndarray) -> Tensor:
@@ -57,13 +55,12 @@ def _result(value: np.ndarray) -> Tensor:
     t = object.__new__(Tensor)
     t.value = value
     t.grad = None
-    t.name = ""
     return t
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    if t.grad is None:
-        t.grad = g.copy()  # g may be another tensor's gradient or a view of one
+def _accumulate(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
+    if t.grad is None:  # the first write makes it, from a copy of g unless g is ``fresh``: held by nothing else
+        t.grad = g if fresh else g.copy()  # g may be another tensor's gradient or a view of one
     else:
         t.grad += g
 
@@ -347,23 +344,26 @@ class Tape:
 
 def _add_weight_terms(a: Tensor, gs, xs) -> None:
     """Adds sum_k gs[k] @ xs[k].T to a's gradient as one matrix product."""
-    _accumulate(a, np.hstack(gs) @ np.hstack(xs).T)
+    _accumulate(a, np.hstack(gs) @ np.hstack(xs).T, fresh=True)
 
 
 class ParameterStore:
-    """Named trainable tensors plus their Adam moment buffers, made by the first adam_step."""
+    """The trainable tensors, with Adam moments made by the first adam_step, and the named
+    entries of a model file, each a trainable tensor or a view of one's value."""
 
     def __init__(self):
-        self._params = {}
-        self._moments = {}  # name -> (m, v)
+        self.trainable = []
+        self._params = {}  # name -> entry
+        self._moments = []  # (m, v) of each trainable tensor
         self.step_count = 0
 
-    def add(self, name: str, value) -> Tensor:
+    def add(self, name: str, value, owner: Tensor = None) -> Tensor:
+        """The entry ``name``: its own trainable tensor, or with ``owner`` a view of that tensor's value."""
         if name in self._params:
             raise ValueError(f"duplicate parameter name {name!r}")
-        t = Tensor(value, name)
-        t.grad = np.zeros_like(t.value)
-        self._params[name] = t
+        self._params[name] = t = Tensor(value)
+        if owner is None or owner not in self.trainable:
+            self.trainable.append(owner or t)
         return t
 
     def __getitem__(self, name: str) -> Tensor:
@@ -373,24 +373,23 @@ class ParameterStore:
         return self._params.items()
 
     def zero_grads(self) -> None:
-        for t in self._params.values():
-            t.grad[:] = 0.0
+        for t in self.trainable:
+            t.grad = None
 
     def adam_step(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
-        """Standard Adam update with bias correction; grads are zeroed after."""
+        """Standard Adam update with bias correction, a missing gradient read as zero; grads are dropped after."""
+        if not self._moments:  # moments start at zero: a model that never trains holds none
+            self._moments = [(np.zeros_like(p.value), np.zeros_like(p.value)) for p in self.trainable]
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - beta1**t
         bc2 = 1.0 - beta2**t
-        for name, p in self._params.items():
-            g = p.grad
-            if name not in self._moments:  # moments start at zero: a model that never trains holds none
-                self._moments[name] = (np.zeros_like(g), np.zeros_like(g))
-            m, v = self._moments[name]
+        for p, (m, v) in zip(self.trainable, self._moments):
             m *= beta1
-            m += (1.0 - beta1) * g
             v *= beta2
-            v += (1.0 - beta2) * (g * g)
+            if p.grad is not None:  # adding a zero gradient's terms would leave m and v as they are
+                m += (1.0 - beta1) * p.grad
+                v += (1.0 - beta2) * (p.grad * p.grad)
             p.value -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
         self.zero_grads()
 

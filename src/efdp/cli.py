@@ -12,6 +12,8 @@ import logging
 import os
 import sys
 
+import numpy as np
+
 from . import evaluate, treebank
 from .config import Config, load_config
 from .easyfirst import arcs_to_rows, parse
@@ -177,7 +179,8 @@ def main(argv=None) -> int:
     # OSError: a path that cannot be read or written; FloatingPointError: a forward pass that overflowed
     try:
         args = parser.parse_args(argv)
-        return args.run(args)
+        with np.errstate(over="ignore", invalid="ignore"):  # a finite check reports an overflow
+            return args.run(args)
     except (EfdpError, OSError, FloatingPointError, KeyboardInterrupt) as e:
         return report(e)
 

@@ -100,7 +100,7 @@ class ActionScorer:
     other direction-relation pairs (laid out relation-major). An action's
     score is the sum of its two entries. A step scores its n-1 windows as one
     batch: an item keeps its first-layer products for every slot
-    (``Mlp.slot_view``) while its encoding and the tape stay the same, and
+    (``Mlp.w0``) while its encoding and the tape stay the same, and
     ``Tape.window_sum`` adds six of them per window. Per-window work is
     elementwise, so a window's scores do not depend on the other windows.
     """
@@ -109,8 +109,8 @@ class ActionScorer:
         self.tape = tape
         self.model = model
         self._mlps = (model.mlp_u, model.mlp_r)
-        self._pads = [([tape.matmul(m.slot_view, model.pad_left)] * WINDOW_BEFORE,
-                       [tape.matmul(m.slot_view, model.pad_right)] * (WINDOW_AFTER - 1)) for m in self._mlps]
+        self._pads = [([tape.matmul(m.w0, model.pad_left)] * WINDOW_BEFORE,
+                       [tape.matmul(m.w0, model.pad_right)] * (WINDOW_AFTER - 1)) for m in self._mlps]
         self._memo = ((), None)  # the last step's pending encodings and outputs
 
     def outputs(self, pending):
@@ -120,7 +120,7 @@ class ActionScorer:
             todo = [item for item in pending if item.products[:2] != (item.enc, self.tape)]
             if todo:
                 x = self.tape.concat(*(item.enc for item in todo), axis=1)
-                batch = [self.tape.matmul(m.slot_view, x) for m in self._mlps]
+                batch = [self.tape.matmul(m.w0, x) for m in self._mlps]
                 for j, item in enumerate(todo):
                     item.products = (item.enc, self.tape, [self.tape.columns(b, slice(j, j + 1)) for b in batch])
             out = []

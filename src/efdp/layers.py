@@ -31,9 +31,8 @@ class LstmCell:
     4H rows each. ``project`` gives W_x x + b for any number of inputs at
     once; a ``step`` adds W_h h to one column per cell run side by side and
     runs ``lstm_gates`` over them.
-    The store's per-gate parameters ``name/gate/W_x|W_h|b`` are row blocks of
-    those matrices and of their gradient buffers; every write to a parameter
-    or gradient is in place, so the two stay one set of numbers.
+    The three matrices are the store's trainable tensors; its per-gate entries
+    ``name/gate/W_x|W_h|b`` are row blocks of their values.
     """
 
     def __init__(self, store, name: str, input_size: int, hidden_size: int, rng):
@@ -41,14 +40,12 @@ class LstmCell:
         self.input_size = input_size
         self.hidden_size = hidden_size
         self.stacked = tuple(Tensor(np.zeros((4 * hidden_size, n))) for n in (input_size, hidden_size, 1))
-        for full in self.stacked:
-            full.grad = np.zeros_like(full.value)
         for k, gate in enumerate(GATES):
             rows = slice(k * hidden_size, (k + 1) * hidden_size)
             glorot(rng, self.stacked[0].value[rows])
             glorot(rng, self.stacked[1].value[rows])
             for param, full in zip(("W_x", "W_h", "b"), self.stacked):
-                store.add(f"{name}/{gate}/{param}", full.value[rows]).grad = full.grad[rows]
+                store.add(f"{name}/{gate}/{param}", full.value[rows], owner=full)
 
     def project(self, tape, x: Tensor) -> Tensor:
         """W_x x + b for k inputs side by side: x is (input_size, k), the result (4H, k)."""
@@ -131,9 +128,10 @@ def _run_cell(tape, cell: LstmCell, x: Tensor, m: int) -> Tensor:
 class Mlp:
     """One tanh hidden layer and a linear output layer: W1 tanh(W0 x + b0) + b1.
 
-    For an input of ``slots`` equal blocks, ``slot_view`` sees W0 and its
-    gradient as (slots * hidden, block) arrays whose row o*slots + s is
-    W0[o, block s]: one matmul with it gives a block's products for every slot.
+    For an input of ``slots`` equal blocks, the trainable ``w0`` holds W0 as a
+    (slots * hidden, block) array whose row o*slots + s is W0[o, block s]: one
+    matmul with it gives a block's products for every slot. The store's entry
+    ``name/layer0/W`` is the (hidden, input) view of its value.
     """
 
     def __init__(self, store, name: str, sizes, rng, slots: int):
@@ -141,12 +139,11 @@ class Mlp:
             raise ValueError(f"an MLP needs sizes (input, hidden, output) and {slots} equal input blocks: {sizes}")
         self.name = name
         self.sizes = n_in, hidden, n_out = tuple(sizes)
-        self.w0 = store.add(f"{name}/layer0/W", glorot(rng, np.empty((hidden, n_in))))
+        self.w0 = Tensor(glorot(rng, np.empty((hidden, n_in))).reshape(slots * hidden, -1))
+        store.add(f"{name}/layer0/W", self.w0.value.reshape(hidden, n_in), owner=self.w0)
         self.b0 = store.add(f"{name}/layer0/b", np.zeros((hidden, 1)))
         self.w1 = store.add(f"{name}/layer1/W", glorot(rng, np.empty((n_out, hidden))))
         self.b1 = store.add(f"{name}/layer1/b", np.zeros((n_out, 1)))
-        self.slot_view = Tensor(self.w0.value.reshape(slots * hidden, -1))
-        self.slot_view.grad = self.w0.grad.reshape(self.slot_view.value.shape)
 
     def apply(self, tape, z: Tensor) -> Tensor:
         """The outputs of k inputs side by side from their first-layer products z = W0 x, (hidden, k)."""

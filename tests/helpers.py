@@ -37,14 +37,19 @@ def action_index(position, direction, relation, n_relations):
     return (2 * (position - 1) + direction) * n_relations + relation
 
 
+def grad_of(t):
+    """A copy of t's gradient; a tensor that backward did not reach has none, which is a zero one."""
+    return np.zeros_like(t.value) if t.grad is None else t.grad.copy()
+
+
 def numeric_gradients(build_loss, params, eps=1e-4, coords=None):
-    """Central finite differences of build_loss() w.r.t. each parameter entry.
+    """Central finite differences of build_loss() w.r.t. each parameter entry, one array per parameter.
 
     ``build_loss`` must rebuild the graph from current parameter values and
     return the loss tensor. ``coords`` optionally restricts which flat indices
     of each parameter are probed.
     """
-    grads = {}
+    grads = []
     for p in params:
         flat = p.value.reshape(-1)
         indices = range(flat.size) if coords is None else coords(flat.size)
@@ -57,7 +62,7 @@ def numeric_gradients(build_loss, params, eps=1e-4, coords=None):
             f_minus = build_loss().item()
             flat[i] = saved
             g[i] = (f_plus - f_minus) / (2 * eps)
-        grads[p.name] = g.reshape(p.value.shape)
+        grads.append(g.reshape(p.value.shape))
     return grads
 
 
@@ -66,18 +71,18 @@ def check_gradients(make_tape_and_loss, store, params=None, rtol=1e-4, atol=1e-6
 
     ``make_tape_and_loss`` returns (tape, loss); it runs once for the
     analytic pass and repeatedly (loss only used) for the numeric one.
+    ``params`` defaults to the store's trainable tensors; one that the loss
+    does not reach has no gradient, which is a zero one.
     """
-    params = list(store._params.values()) if params is None else params
+    params = store.trainable if params is None else params
     store.zero_grads()
     tape, loss = make_tape_and_loss()
     tape.backward(loss)
-    analytic = {p.name: p.grad.copy() for p in params}
+    analytic = [grad_of(p) for p in params]
     store.zero_grads()
     numeric = numeric_gradients(lambda: make_tape_and_loss()[1], params, coords=coords)
     worst = 0.0
-    for p in params:
-        a = analytic[p.name]
-        n = numeric[p.name]
+    for k, (p, a, n) in enumerate(zip(params, analytic, numeric)):
         mask = np.ones_like(a, dtype=bool)
         if coords is not None:
             mask = np.zeros(a.size, dtype=bool)
@@ -88,6 +93,6 @@ def check_gradients(make_tape_and_loss, store, params=None, rtol=1e-4, atol=1e-6
         if err.size:
             worst = max(worst, float(err.max()))
         assert (err <= rtol).all() or (np.abs(a - n)[mask] <= atol).all(), (
-            f"{p.name}: max rel err {err.max():.2e}"
+            f"parameter {k} {p!r}: max rel err {err.max():.2e}"
         )
     return worst

@@ -102,7 +102,7 @@ def test_gradient_integrity():
 
         def mlp_loss():
             t = Tape()
-            return t, t.sum_all(mlp.apply(t, t.window_sum([t.matmul(mlp.slot_view, b) for b in blocks], 2)))
+            return t, t.sum_all(mlp.apply(t, t.window_sum([t.matmul(mlp.w0, b) for b in blocks], 2)))
 
         check_gradients(mlp_loss, store, rtol=RTOL)
 
@@ -147,7 +147,7 @@ def test_gradient_integrity():
             return t, t.add(first, last)
 
         check_gradients(
-            score_loss, model.store, rtol=RTOL, coords=lambda n: range(0, n, max(1, n // 4))
+            score_loss, model.store, rtol=RTOL, coords=lambda n: range(0, n, max(1, n // 12))
         )
 
 

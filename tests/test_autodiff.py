@@ -4,7 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from efdp.autodiff import (
     ParameterStore,
@@ -13,9 +13,12 @@ from efdp.autodiff import (
     Tape,
     Tensor,
 )
+from efdp.config import Config
 from efdp.layers import LstmCell, Mlp
 from efdp.model import ParserModel
-from helpers import check_gradients, tiny_model
+from efdp.oracle import Trainer
+from efdp.represent import build_vocab, parse_pretrained
+from helpers import TINY, check_gradients, tiny_model
 
 floats = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 
@@ -263,12 +266,14 @@ def test_sum_loss_gives_unit_gradients():
 
 
 def test_unreachable_parameters_keep_zero_grad():
+    # a gradient exists once backward writes one: an unreached parameter has none, which Adam reads as zero
     store = ParameterStore()
     w = store.add("w", np.ones((2, 1)))
     lonely = store.add("lonely", np.ones((2, 2)))
+    assert w.grad is None and lonely.grad is None
     t = Tape()
     t.backward(t.sum_all(t.tanh(w)))
-    assert np.array_equal(lonely.grad, np.zeros((2, 2)))
+    assert w.grad is not None and lonely.grad is None
 
 
 def test_backward_frees_only_the_gradients_of_its_own_op_outputs():
@@ -340,10 +345,10 @@ def test_adam_first_step_magnitude_is_about_lr():
     # by hand: m-hat = g, v-hat = g*g, step = lr * g / (|g| + eps)
     store = ParameterStore()
     w = store.add("w", np.array([[1.0]]))
-    w.grad[:] = 1.0
+    w.grad = np.ones((1, 1))
     store.adam_step(lr=0.01)
     assert w.value[0, 0] == pytest.approx(1.0 - 0.01, abs=1e-9)
-    assert np.array_equal(w.grad, np.zeros((1, 1)))  # grads zeroed afterward
+    assert w.grad is None  # grads dropped afterward
 
 
 def reference_adam_scalar(x0, lr, steps, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -365,20 +370,85 @@ def test_adam_moments_appear_on_the_first_step_and_match_an_eager_reference():
     x, m, v = w.value.copy(), np.zeros((3, 2)), np.zeros((3, 2))  # moments made with the parameter
     for step in range(1, 4):
         g = rng.standard_normal((3, 2))
-        w.grad[:] = g
+        w.grad = g.copy()
         store.adam_step(lr=0.1)
         m = m * 0.9 + (1.0 - 0.9) * g
         v = v * 0.999 + (1.0 - 0.999) * (g * g)
         x -= 0.1 * (m / (1.0 - 0.9**step)) / (np.sqrt(v / (1.0 - 0.999**step)) + 1e-8)
         assert w.value.tobytes() == x.tobytes()
-    assert set(store._moments) == {"w"}
+    assert [(mo.tobytes(), vo.tobytes()) for mo, vo in store._moments] == [(m.tobytes(), v.tobytes())]
+
+
+@settings(max_examples=40)
+@example((2, 3), [True, False, False, True], 0)  # steps without a gradient after one: m is not zero
+@example((1, 1), [False, True, False], 1)  # the first step has no gradient
+@given(st.tuples(st.integers(1, 4), st.integers(1, 4)), st.lists(st.booleans(), min_size=1, max_size=8),
+       st.integers(0, 2**32 - 1))
+def test_adam_reads_a_missing_gradient_as_a_zero_one(shape, has_grad, seed):
+    rng = np.random.default_rng(seed)
+    start = rng.standard_normal(shape)
+    lazy, eager = ParameterStore(), ParameterStore()
+    w_lazy, w_eager = lazy.add("w", start.copy()), eager.add("w", start.copy())
+    for given_grad in has_grad:
+        g = np.zeros(shape)
+        if given_grad:
+            g = rng.standard_normal(shape)
+            g[rng.random(shape) < 0.25] = -0.0  # signed zeros among the entries
+            w_lazy.grad = g.copy()
+        assert (w_lazy.grad is None) != given_grad
+        w_eager.grad = g
+        lazy.adam_step(lr=0.1)
+        eager.adam_step(lr=0.1)
+        assert w_lazy.value.tobytes() == w_eager.value.tobytes()
+        (m_lazy, v_lazy), (m_eager, v_eager) = lazy._moments + eager._moments
+        assert m_lazy.tobytes() == m_eager.tobytes() and v_lazy.tobytes() == v_eager.tobytes()
+
+
+def tiny_models_of_every_kind():
+    """Tiny word+pos, +char and +pretrained models."""
+    model, corpus = tiny_model(seed=4)
+    forms = sorted({t.form for sentence in corpus for t in sentence})
+    table = parse_pretrained("".join(f"{w} 0.1 -0.2\n" for w in forms[:3]))
+    pretrained = ParserModel(Config(use_pretrained=True, **TINY), build_vocab(corpus), table)
+    return [model, tiny_model(seed=4, use_char=True)[0], pretrained]
+
+
+def test_entries_tile_the_trainable_tensors():
+    model, corpus = tiny_model(seed=4)
+    default = ParserModel(Config(), build_vocab(corpus)).store  # default dims, word+pos
+    assert (len(default.trainable), len(list(default.items()))) == (36, 90)
+    for model in tiny_models_of_every_kind():
+        store = model.store
+        # the tensors the tape reads are the trainable ones
+        cells = [*model.sent_net.fwd, *model.sent_net.bwd, *model.tree]
+        if model.char_net is not None:
+            cells += [*model.char_net.fwd, *model.char_net.bwd]
+        read = [t for cell in cells for t in cell.stacked] + [model.mlp_u.w0, model.mlp_r.w0]
+        assert all(any(t is p for p in store.trainable) for t in read)
+        entries = [entry for _, entry in store.items()]
+        owners = [[p for p in store.trainable if np.shares_memory(entry.value, p.value)] for entry in entries]
+        assert all(len(found) == 1 for found in owners)
+        assert {id(found[0]) for found in owners} == {id(p) for p in store.trainable}
+        # so Adam steps exactly the numbers that to_bytes saves
+        assert sum(e.value.size for e in entries) == sum(p.value.size for p in store.trainable)
+        for p in store.trainable:
+            p.value[...] = 0.0
+        for entry in entries:
+            entry.value += 1.0
+        assert all((p.value == 1.0).all() for p in store.trainable)  # each number is in one entry
 
 
 def test_built_and_loaded_models_hold_no_adam_moments(tmp_path):
-    model, _ = tiny_model(seed=2)
+    model, corpus = tiny_model(seed=2)
     model.save(str(tmp_path / "model.bin"))
     for fresh in (model, ParserModel.load(str(tmp_path / "model.bin"))):
         assert not fresh.store._moments
+        assert all(p.grad is None for p in fresh.store.trainable)  # nor any gradient
+    trainer = Trainer(model, error_batch=1)
+    trainer.train_sentence(corpus[0])
+    trainer.flush()
+    assert trainer.updates and len(model.store._moments) == len(model.store.trainable)
+    assert all(p.grad is None for p in model.store.trainable)  # an update drops every gradient
 
 
 def test_adam_minimizes_a_quadratic():

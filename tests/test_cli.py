@@ -2,7 +2,11 @@ import dataclasses
 import json
 import logging
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -77,6 +81,20 @@ def test_an_overflowing_forward_pass_is_one_error_line(workdir, capsys):
     err = capsys.readouterr().err
     assert [line for line in err.splitlines() if line.startswith("error: ")] == err.splitlines()[-1:]
     assert "non-finite values" in err and "Traceback" not in err
+    assert not (workdir / "model.bin").exists()
+
+
+def test_an_overflowing_forward_pass_prints_nothing_but_its_error_line(workdir):
+    # a fresh interpreter, since pytest would capture numpy's warnings before they reach stderr;
+    # an update per margin error overflows before the first epoch's log line
+    cfg = workdir / "overflow.cfg"
+    cfg.write_text((workdir / "efdp.cfg").read_text() + "lr = 1e200\nerror_batch = 1\n", encoding="utf-8")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "efdp.cli", "train", "--config", str(cfg)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1
+    assert done.stderr == "error: matmul produced non-finite values\n"
     assert not (workdir / "model.bin").exists()
 
 

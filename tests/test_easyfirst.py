@@ -373,7 +373,7 @@ def reference_outputs(model, pending):
     padded = [model.pad_left.value] * 2 + [item.enc.value for item in pending] + [model.pad_right.value] * 3
     outs = []
     for mlp in (model.mlp_u, model.mlp_r):
-        w0, b0, w1, b1 = mlp.w0, mlp.b0, mlp.w1, mlp.b1
+        w0, b0, w1, b1 = model.store[f"{mlp.name}/layer0/W"], mlp.b0, mlp.w1, mlp.b1
         x = np.hstack([np.vstack(padded[i - 1 : i + 5]) for i in range(1, len(pending))])
         outs.append(w1.value @ np.tanh(w0.value @ x + b0.value) + b1.value)
     return outs
@@ -415,18 +415,20 @@ def test_first_layer_gradient_through_the_slot_view_matches_the_joined_window(se
     rng = np.random.default_rng(100 + seed)
     weights = [Tensor(rng.uniform(-1, 1, (2 * model.n_relations, 6))) for _ in range(2)]
     names = ["mlp_u/layer0/W", "mlp_r/layer0/W", "pad_left", "pad_right", "w_e"]
+    mlps = (model.mlp_u, model.mlp_r)
+    plain_w0 = [Tensor(model.store[name].value) for name in names[:2]]  # W0 in its (hidden, input) layout
 
     def joined_windows(tape, pending):
         # the window input as the concat of its six slots, through W0 x
         slots = [model.pad_left] * 2 + [item.enc for item in pending] + [model.pad_right] * 3
         x = tape.concat(*(tape.concat(*slots[i - 1 : i + 5]) for i in range(1, len(pending))), axis=1)
         outs = []
-        for mlp in (model.mlp_u, model.mlp_r):
-            w0, b0, w1, b1 = mlp.w0, mlp.b0, mlp.w1, mlp.b1
+        for mlp, w0 in zip(mlps, plain_w0):
+            b0, w1, b1 = mlp.b0, mlp.w1, mlp.b1
             outs.append(tape.add(tape.matmul(w1, tape.tanh(tape.add(tape.matmul(w0, x), b0))), b1))
         return outs
 
-    def gradients(make_outputs):
+    def gradients(make_outputs, w0s):
         model.store.zero_grads()
         tape = Tape()
         pending = init_pending(tape, model, encode_sentence(tape, model, sentence), sentence)
@@ -441,10 +443,12 @@ def test_first_layer_gradient_through_the_slot_view_matches_the_joined_window(se
         for term in terms[1:]:
             total = tape.add(total, term)
         tape.backward(total)
-        return {name: model.store[name].grad.copy() for name in names}
+        # W0's gradient in its (hidden, input) layout, as the file entry views its value
+        grads = [w0.grad.reshape(model.config.mlp_hidden, -1) for w0 in w0s]
+        return dict(zip(names, grads + [model.store[name].grad for name in names[2:]]))
 
-    got = gradients(lambda tape: ActionScorer(tape, model).outputs)
-    want = gradients(lambda tape: lambda pending: joined_windows(tape, pending))
+    got = gradients(lambda tape: ActionScorer(tape, model).outputs, [mlp.w0 for mlp in mlps])
+    want = gradients(lambda tape: lambda pending: joined_windows(tape, pending), plain_w0)
     for name in names:
         assert want[name].any(), name
         scale = np.abs(want[name]).max()  # sums of products that may cancel, as in the scores test

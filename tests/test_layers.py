@@ -4,7 +4,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from efdp.autodiff import ParameterStore, ShapeError, Tape, Tensor
 from efdp.layers import GATES, BiLstm, LstmCell, Mlp
-from helpers import check_gradients
+from helpers import check_gradients, grad_of
 
 PARAMS = ("W_x", "W_h", "b")  # the per-gate parameters of a cell, named cell/gate/param in its store
 
@@ -56,7 +56,7 @@ def test_step_from_no_state_equals_step_from_the_zero_state():
         t = Tape()
         h, c = cell.step(t, cell.project(t, Tensor(x)), state)
         t.backward(t.add(t.sum_all(h), t.sum_all(c)))
-        return [h.value, c.value] + [p.grad.copy() for _, p in store.items()]
+        return [h.value, c.value] + [grad_of(p) for p in store.trainable]
 
     zero = (Tensor(np.zeros((4, 2))), Tensor(np.zeros((4, 2))))
     for got, want in zip(run(None), run(zero)):
@@ -95,7 +95,13 @@ def assert_stacked_blocks_are_the_gate_parameters(store, cell):
     for full, param in zip(cell.stacked, PARAMS):
         by_gate = [store[f"{cell.name}/{gate}/{param}"] for gate in GATES]
         assert np.array_equal(full.value, np.vstack([p.value for p in by_gate]))
-        assert np.array_equal(full.grad, np.vstack([p.grad for p in by_gate]))
+
+
+def gate_grads(cell):
+    """Each per-gate parameter's gradient, read as its rows of the stacked tensor's gradient."""
+    rows = lambda k: slice(k * cell.hidden_size, (k + 1) * cell.hidden_size)
+    return {f"{cell.name}/{gate}/{param}": grad_of(full)[rows(k)]
+            for k, gate in enumerate(GATES) for param, full in zip(PARAMS, cell.stacked)}
 
 
 @pytest.mark.parametrize("input_size, hidden_size, steps, seed", [(3, 4, 1, 0), (5, 2, 3, 1), (2, 6, 4, 2)])
@@ -108,7 +114,7 @@ def test_fused_step_matches_per_gate_reference(input_size, hidden_size, steps, s
     h0, c0 = rng.uniform(-1, 1, (2, hidden_size, 1))
     weights = Tensor(rng.uniform(-1, 1, ((steps + 1) * hidden_size, 1)))
 
-    def run(step):
+    def run(step, read_grads):
         store.zero_grads()
         inputs = [Tensor(x) for x in xs]
         h, c = start = Tensor(h0), Tensor(c0)
@@ -119,31 +125,34 @@ def test_fused_step_matches_per_gate_reference(input_size, hidden_size, steps, s
             hs.append(h)
         t.backward(t.sum_all(t.pointwise_mul(weights, t.concat(*hs, c))))
         values = [h.value, c.value] + [v.grad for v in (*start, *inputs)]
-        return values, {name: p.grad.copy() for name, p in store.items()}
+        return values, read_grads()
 
     def step(t, h, c, x):
         return cell.step(t, cell.project(t, x), (h, c))
 
-    values, grads = run(step)
+    values, grads = run(step, lambda: gate_grads(cell))
     assert_stacked_blocks_are_the_gate_parameters(store, cell)
-    ref_values, ref_grads = run(lambda t, h, c, x: reference_step(t, store, cell, h, c, x))
+    # the reference reads the per-gate entries on its tape, so their own gradients are its result
+    ref_values, ref_grads = run(lambda t, h, c, x: reference_step(t, store, cell, h, c, x),
+                                lambda: {name: p.grad.copy() for name, p in store.items()})
     for got, want in zip(values, ref_values):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
     for name, grad in grads.items():
         np.testing.assert_allclose(grad, ref_grads[name], rtol=1e-12, atol=0, err_msg=name)
 
-    # every write to a parameter or gradient lands in the stacked matrices
+    # the stacked matrices are the store's trainable tensors: Adam and a load write them
+    assert all(any(full is p for p in store.trainable) for full in cell.stacked)
     store.adam_step(lr=0.1)
     assert_stacked_blocks_are_the_gate_parameters(store, cell)
     other, _ = make_cell(input_size, hidden_size, seed=seed + 50)
     store.load_bytes(other.to_bytes())
     assert_stacked_blocks_are_the_gate_parameters(store, cell)
     assert np.array_equal(cell.stacked[1].value[-hidden_size:], other["cell/cand/W_h"].value)
-    run(step)
+    run(step, dict)
     assert all(full.grad.any() for full in cell.stacked)
     store.zero_grads()
     assert_stacked_blocks_are_the_gate_parameters(store, cell)
-    assert not any(full.grad.any() for full in cell.stacked)
+    assert all(full.grad is None for full in cell.stacked)
 
 
 def test_saturated_gates_freeze_the_cell_state():
@@ -279,8 +288,7 @@ def run_bilstm_and_backprop(net, store, x, lengths, out_weights, fin_weights):
     loss = t.add(t.sum_all(t.pointwise_mul(Tensor(out_weights), outputs)),
                  t.sum_all(t.pointwise_mul(Tensor(fin_weights), finals)))
     t.backward(loss)
-    grads = {name: p.grad.copy() for name, p in store.items()}
-    return outputs.value, finals.value, x.grad, grads
+    return outputs.value, finals.value, x.grad, [grad_of(p) for p in store.trainable]
 
 
 @settings(max_examples=25, deadline=None)
@@ -307,18 +315,18 @@ def test_batched_bilstm_matches_one_sequence_at_a_time(lengths, input_size, hidd
     out_w[:, padding] = 0.0  # a caller reads no padded output
     fin_w = rng.uniform(-1, 1, (2 * hidden, m))
     outputs, finals, x_grad, grads = run_bilstm_and_backprop(net, store, x, lengths, out_w, fin_w)
-    grad_sum = {name: np.zeros_like(g) for name, g in grads.items()}
+    grad_sum = [np.zeros_like(g) for g in grads]
     for j, n in enumerate(lengths):
         cols = np.arange(n) * m + j  # sequence j's own steps in the batch layout
         o, f, xg, g = run_bilstm_and_backprop(net, store, x[:, cols], [n], out_w[:, cols], fin_w[:, j : j + 1])
         assert_close(outputs[:, cols], o)
         assert_close(finals[:, j : j + 1], f)
         assert_close(x_grad[:, cols], xg)
-        for name in grad_sum:
-            grad_sum[name] += g[name]
+        for total, one in zip(grad_sum, g):
+            total += one
     assert not x_grad[:, padding].any()  # padding reaches no sequence's outputs
-    for name, g in grads.items():
-        assert_close(g, grad_sum[name], err_msg=name)
+    for p, g, total in zip(store.trainable, grads, grad_sum):
+        assert_close(g, total, err_msg=repr(p))
 
 
 # ---- MLP ----
@@ -401,27 +409,30 @@ def test_slot_view_rows_are_the_first_layer_blocks(slots, block, hidden):
         for o in range(hidden):
             for s in range(slots):
                 cols = slice(s * block, (s + 1) * block)
-                assert np.array_equal(mlp.slot_view.value[o * slots + s], w0.value[o, cols])
-                assert np.array_equal(mlp.slot_view.grad[o * slots + s], w0.grad[o, cols])
+                assert np.array_equal(mlp.w0.value[o * slots + s], w0.value[o, cols])
 
-    # a window of ``slots`` blocks through the view and window_sum equals W0 x, value and gradients
+    # a window of ``slots`` blocks through the slot layout and window_sum equals W0 x, value and
+    # gradients; the slot layout's gradient is read in W0's (hidden, input) layout
     xs = [Tensor(rng.uniform(-1, 1, (block, 1))) for _ in range(slots)]
     weights = Tensor(rng.uniform(-1, 1, (hidden, 1)))
+    plain = Tensor(w0.value)
 
-    def loss(first):
+    def loss(first, weight):
         store.zero_grads()
         t = Tape()
         z = first(t)
         t.backward(t.sum_all(t.pointwise_mul(weights, z)))
-        return z.value, w0.grad.copy()
+        return z.value, weight.grad.reshape(hidden, -1).copy()
 
-    got = loss(lambda t: t.window_sum([t.matmul(mlp.slot_view, x) for x in xs], slots))
-    want = loss(lambda t: t.matmul(w0, t.concat(*xs)))
+    got = loss(lambda t: t.window_sum([t.matmul(mlp.w0, x) for x in xs], slots), mlp.w0)
+    want = loss(lambda t: t.matmul(plain, t.concat(*xs)), plain)
     np.testing.assert_allclose(got[0], want[0], rtol=1e-12, atol=1e-15)
     np.testing.assert_allclose(got[1], want[1], rtol=1e-12, atol=1e-15)
     assert got[1].any()
-    # every write to W0 or its gradient shows in the view
-    loss(lambda t: t.window_sum([t.matmul(mlp.slot_view, x) for x in xs], slots))
+    # the slot layout is the trainable tensor and W0 the view of it that the file holds: every
+    # write to either shows in the other
+    assert any(mlp.w0 is p for p in store.trainable) and not any(w0 is p for p in store.trainable)
+    loss(lambda t: t.window_sum([t.matmul(mlp.w0, x) for x in xs], slots), mlp.w0)
     assert_view()
     store.adam_step(lr=0.1)
     assert_view()

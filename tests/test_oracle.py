@@ -437,13 +437,15 @@ def test_scores_after_a_mid_sentence_update_use_the_updated_parameters(monkeypat
             self.seen = True
             return got
 
-    # slots 2 and 3 hold the attachment's own two items, never a pad
+    # slots 2 and 3 hold the attachment's own two items, never a pad; W0's gradient is read in
+    # its (hidden, input) layout
     v = model.v_dim
-    middle = [model.store[f"{name}/layer0/W"].grad[:, 2 * v : 4 * v] for name in ("mlp_u", "mlp_r")]
     grads = []
     adam_step = model.store.adam_step
 
     def checked_adam_step(*args):
+        middle = [m.w0.grad.reshape(model.config.mlp_hidden, -1)[:, 2 * v : 4 * v]
+                  for m in (model.mlp_u, model.mlp_r)]
         grads.append([np.abs(g).max() for g in middle])
         adam_step(*args)
 
