@@ -10,6 +10,7 @@ tensor. Tensors produced on an older tape may be consumed by a newer one,
 in which case they act as constants.
 """
 
+import itertools
 import math
 import struct
 
@@ -65,12 +66,12 @@ def _accumulate(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
         t.grad += g
 
 
-def _logistic(v: np.ndarray) -> np.ndarray:
+def _logistic(v: np.ndarray, out=None) -> np.ndarray:
     # 1/(1+e) for v >= 0 and e/(1+e) below, e = exp(-|v|): exp never overflows
     e = np.abs(v)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    return np.where(v >= 0, 1.0, e) / (1.0 + e)
+    return np.divide(np.where(v >= 0, 1.0, e), 1.0 + e, out=out)
 
 
 def _check_finite(op: str, value: np.ndarray) -> None:
@@ -117,7 +118,7 @@ class Tape:
             _, gs, xs = terms.setdefault(id(a), (a, [], []))
             gs.append(g)
             xs.append(b.value)
-            _accumulate(b, a.value.T @ g)
+            _accumulate(b, a.value.T @ g, fresh=True)
 
         return self._push(out, backward)
 
@@ -143,7 +144,7 @@ class Tape:
 
         def backward(g):
             _accumulate(a, g)
-            _accumulate(b, -g)
+            _accumulate(b, -g, fresh=True)
 
         return self._push(out, backward)
 
@@ -154,8 +155,8 @@ class Tape:
         _check_finite("pointwise_mul", out.value)
 
         def backward(g):
-            _accumulate(a, g * b.value)
-            _accumulate(b, g * a.value)
+            _accumulate(a, g * b.value, fresh=True)
+            _accumulate(b, g * a.value, fresh=True)
 
         return self._push(out, backward)
 
@@ -164,7 +165,7 @@ class Tape:
         out = _result(np.tanh(x.value))
 
         def backward(g):
-            _accumulate(x, g * (1.0 - out.value * out.value))
+            _accumulate(x, g * (1.0 - out.value * out.value), fresh=True)
 
         return self._push(out, backward)
 
@@ -173,7 +174,7 @@ class Tape:
         _check_finite("logistic", out.value)
 
         def backward(g):
-            _accumulate(x, g * out.value * (1.0 - out.value))
+            _accumulate(x, g * out.value * (1.0 - out.value), fresh=True)
 
         return self._push(out, backward)
 
@@ -214,8 +215,8 @@ class Tape:
 
         return self._push(out, backward)
 
-    def columns(self, x: Tensor, cols) -> Tensor:
-        """x[:, cols] for a slice or a sequence of column ids, which may repeat.
+    def columns(self, x: Tensor, cols, rows=slice(None)) -> Tensor:
+        """x[rows, cols] for a slice of rows and a slice or a sequence of column ids, which may repeat.
 
         No finite check: it copies values it was given.
         """
@@ -224,17 +225,17 @@ class Tape:
             cols = np.asarray(cols, dtype=np.intp)
             if cols.ndim != 1 or not ((0 <= cols) & (cols < x.value.shape[1])).all():
                 raise ShapeError(f"columns: {cols} of shape {x.value.shape}")
-        out = _result(x.value[:, cols])
-        if not out.value.shape[1]:
-            raise ShapeError(f"columns: {cols} of shape {x.value.shape} selects none")
+        out = _result(x.value[rows, cols])
+        if not out.value.size:
+            raise ShapeError(f"columns: rows {rows}, columns {cols} of shape {x.value.shape} select none")
 
         def backward(g):
             if x.grad is None:
                 x.grad = np.zeros_like(x.value)
             if is_slice:
-                x.grad[:, cols] += g
+                x.grad[rows, cols] += g
             else:
-                np.add.at(x.grad.T, cols, g.T)  # a repeated column sums its gradients
+                np.add.at(x.grad[rows].T, cols, g.T)  # a repeated column sums its gradients
 
         return self._push(out, backward)
 
@@ -270,7 +271,7 @@ class Tape:
         _check_finite("sum_all", out.value)
 
         def backward(g):
-            _accumulate(x, np.full_like(x.value, g[0, 0]))
+            _accumulate(x, np.full_like(x.value, g[0, 0]), fresh=True)
 
         return self._push(out, backward)
 
@@ -279,43 +280,95 @@ class Tape:
         _check_finite("scale", out.value)
 
         def backward(g):
-            _accumulate(x, g * c)
+            _accumulate(x, g * c, fresh=True)
 
         return self._push(out, backward)
 
-    def lstm_gates(self, z: Tensor, c_prev: Tensor):
-        """(h, c) of one LSTM step from pre-activations z stacked [i; f; o; g].
+    def lstm(self, w_h, zs, sizes, cols=None, width=None, state=None):
+        """(h, c) of an LSTM over packed steps in D = len(w_h) directions at once.
 
-        Each of the k columns of z (4H, k) and c_prev (H, k) is one cell.
-        c = f*c_prev + i*g and h = o*tanh(c), with logistic i, f, o and tanh g.
-        No finite check: finite z and c_prev give |c| <= |c_prev| + 1 and
-        |h| <= 1, and the ops that built z check it.
+        Direction d has recurrent weights w_h[d] (4H, H) and inputs zs[d] = W_x x + b
+        (4H, N), gates stacked [i; f; o; g]. Step t takes the next sizes[t] columns,
+        which never grow; column k continues column k of the step before, or of
+        ``state`` (h, c), each (D*H, sizes[0]), None the zero state. A step runs
+        c = f*c_prev + i*g, h = o*tanh(c) (logistic i, f, o; tanh g) on one buffer of
+        the D products W_h h + z, checked once (finite, it gives |c| <= |c_prev| + 1,
+        |h| <= 1). c is (D*H, N), packed; h is (D*H, width), packed column p of
+        direction d at cols[d][p] (default p), else zero. One record runs backprop
+        through time when h has a gradient (a loss reaches c only through a later
+        step, which reads h too), each step's (dz, h_prev) to the weight terms.
         """
-        n, k = c_prev.value.shape
-        if z.value.shape != (4 * n, k):
-            raise ShapeError(f"lstm_gates: {z.value.shape} for cell state {c_prev.value.shape}")
-        act = np.empty_like(z.value)
-        act[: 3 * n] = _logistic(z.value[: 3 * n])
-        act[3 * n :] = np.tanh(z.value[3 * n :])
-        i, f, o, g = act[:n], act[n : 2 * n], act[2 * n : 3 * n], act[3 * n :]
-        c = _result(f * c_prev.value + i * g)
-        tanh_c = np.tanh(c.value)
-        h = _result(o * tanh_c)
-        d_o = np.zeros_like(o)  # filled by h's record, which runs first in reverse
+        d_n, hid, sizes = len(w_h), w_h[0].value.shape[1], list(sizes)
+        n = sum(sizes)
+        width, cols = (n, None) if cols is None else (width, np.asarray(cols, dtype=np.intp))
+        shapes = [t.value.shape for t in (*w_h, *zs, *(state or ()))]
+        want = [(4 * hid, hid)] * d_n + [(4 * hid, n)] * len(zs)
+        want += [(d_n * hid, sizes and sizes[0])] * len(state or ())
+        if shapes != want or not sizes or sizes[-1] < 1 or sizes != sorted(sizes, reverse=True) or (
+                cols is not None and (cols.shape != (d_n, n) or not ((0 <= cols) & (cols < width)).all())):
+            raise ShapeError(f"lstm: weights, inputs and state of shapes {shapes} for steps {sizes}")
+        z = np.concatenate([t.value for t in zs]).reshape(d_n, 4 * hid, n)
+        h, c = (s.value.reshape(d_n, hid, -1) for s in state) if state else (None, np.zeros((d_n, hid, sizes[0])))
+        steps, bounds = [], [0, *itertools.accumulate(sizes)]  # steps: (h_prev, c_prev, act, tanh_c, h, c) each
+        for m, start in zip(sizes, bounds):
+            h_prev, c_prev, pre = h if h is None else h[:, :, :m], c[:, :, :m], z[:, :, start : start + m]
+            if h_prev is not None:
+                pre = np.empty_like(pre)
+                for d, w in enumerate(w_h):
+                    np.matmul(w.value, h_prev[d], out=pre[d])
+                pre += z[:, :, start : start + m]
+                _check_finite("lstm", pre)
+            act = np.empty_like(pre)
+            _logistic(pre[:, : 3 * hid], out=act[:, : 3 * hid])
+            np.tanh(pre[:, 3 * hid :], out=act[:, 3 * hid :])
+            i, f, o, g = (act[:, k * hid : (k + 1) * hid] for k in range(4))
+            c = f * c_prev + i * g
+            tanh_c = np.tanh(c)
+            h = o * tanh_c
+            steps.append((h_prev, c_prev, act, tanh_c, h, c))
+        h_out, c_out = (np.concatenate([step[k] for step in steps], axis=2) for k in (4, 5))
+        if cols is not None:
+            h_out, packed = np.zeros((d_n, hid, width)), h_out
+            h_out[np.arange(d_n)[:, None], :, cols] = packed.transpose(0, 2, 1)
+        h_t, c_t = _result(h_out.reshape(d_n * hid, width)), _result(c_out.reshape(d_n * hid, n))
+        terms = self._weight_terms
 
-        def backward_c(gc):
-            dz = np.concatenate((gc * g, gc * c_prev.value, d_o, gc * i))
-            dz[: 3 * n] *= act[: 3 * n] * (1.0 - act[: 3 * n])
-            dz[3 * n :] *= 1.0 - g * g
-            _accumulate(z, dz)
-            _accumulate(c_prev, gc * f)
+        def backward(g_out):
+            g_out = g_out.reshape(d_n, hid, width)
+            gh_all = g_out if cols is None else g_out[np.arange(d_n)[:, None], :, cols].transpose(0, 2, 1)
+            gc_all = None if c_t.grad is None else c_t.grad.reshape(d_n, hid, n)
+            c_t.grad = None  # passed on here, as the tape does for h
+            dz_all = np.empty((d_n, 4 * hid, n))
+            dh = dc = np.zeros((d_n, hid, 0))  # what step t+1 sends to step t's h and c
+            for (h_prev, c_prev, act, tanh_c, _, _), start, end in zip(reversed(steps), bounds[-2::-1], bounds[:0:-1]):
+                gh = gh_all[:, :, start:end]
+                gh[:, :, : dh.shape[2]] += dh
+                i, f, o, g = (act[:, k * hid : (k + 1) * hid] for k in range(4))
+                gc = gh * o * (1.0 - tanh_c * tanh_c)
+                gc[:, :, : dc.shape[2]] += dc
+                if gc_all is not None:
+                    gc += gc_all[:, :, start:end]
+                dz = np.empty_like(act)
+                for k, (a, b) in enumerate(((gc, g), (gc, c_prev), (gh, tanh_c), (gc, i))):
+                    np.multiply(a, b, out=dz[:, k * hid : (k + 1) * hid])
+                dz[:, : 3 * hid] *= act[:, : 3 * hid] * (1.0 - act[:, : 3 * hid])
+                dz[:, 3 * hid :] *= 1.0 - g * g
+                dz_all[:, :, start:end] = dz
+                dc = gc * f
+                if h_prev is not None:
+                    dh = np.empty(h_prev.shape)
+                    for d, w in enumerate(w_h):
+                        _, gs, xs = terms.setdefault(id(w), (w, [], []))
+                        gs.append(dz[d])
+                        xs.append(h_prev[d])
+                        np.matmul(w.value.T, dz[d], out=dh[d])
+            for z_d, dz_d in zip(zs, dz_all):
+                _accumulate(z_d, dz_d, fresh=True)
+            if state is not None:
+                _accumulate(state[0], dh.reshape(d_n * hid, -1), fresh=True)
+                _accumulate(state[1], dc.reshape(d_n * hid, -1), fresh=True)
 
-        def backward_h(gh):
-            d_o[:] = gh * tanh_c
-            _accumulate(c, gh * o * (1.0 - tanh_c * tanh_c))
-
-        self._push(c, backward_c)
-        return self._push(h, backward_h), c
+        return self._push(h_t, backward), c_t
 
     # ---- reverse pass ----
 

@@ -29,8 +29,7 @@ class LstmCell:
 
     The gates are stacked in GATES order into ``stacked`` = (W_x, W_h, b) with
     4H rows each. ``project`` gives W_x x + b for any number of inputs at
-    once; a ``step`` adds W_h h to one column per cell run side by side and
-    runs ``lstm_gates`` over them.
+    once; a ``step`` runs ``Tape.lstm`` one step from them.
     The three matrices are the store's trainable tensors; its per-gate entries
     ``name/gate/W_x|W_h|b`` are row blocks of their values.
     """
@@ -56,13 +55,8 @@ class LstmCell:
 
     def step(self, tape, z_x: Tensor, state=None):
         """(h, c) of k cells side by side from their projected inputs z_x (4H, k) and
-        their ``state`` (h, c), each (H, k); None is the zero state, whose W_h h adds nothing."""
-        if state is None:
-            c_prev = Tensor(np.zeros((self.hidden_size, z_x.value.shape[1])))
-        else:
-            h_prev, c_prev = state
-            z_x = tape.add(z_x, tape.matmul(self.stacked[1], h_prev))
-        return tape.lstm_gates(z_x, c_prev)
+        their ``state`` (h, c), each (H, k); None is the zero state."""
+        return tape.lstm((self.stacked[1],), (z_x,), [z_x.value.shape[1]], state=state)
 
 
 class BiLstm:
@@ -71,8 +65,7 @@ class BiLstm:
     def __init__(self, store, name: str, input_size: int, hidden_size: int, layers: int, rng):
         self.name = name
         self.hidden_size = hidden_size
-        self.fwd = []
-        self.bwd = []
+        self.fwd, self.bwd = [], []
         for k in range(layers):
             size = input_size if k == 0 else 2 * hidden_size
             self.fwd.append(LstmCell(store, f"{name}/fwd{k}", size, hidden_size, rng))
@@ -81,48 +74,33 @@ class BiLstm:
     def run(self, tape, x: Tensor, lengths):
         """Runs m sequences side by side; returns (outputs, final forward h, final backward h).
 
-        ``lengths`` holds the m sequence lengths. Column t*m + j of x is step t
-        of sequence j, for t below the longest length; columns past a
-        sequence's end are padding. Outputs keep that layout with 2*hidden
-        rows: the forward state after t+1 steps over the backward state after
-        lengths[j]-t steps. The final states are (hidden, m). Layer k consumes
-        layer k-1 outputs. The backward cells read each sequence reversed
-        within its own length, so padding, like any later step, never reaches
-        a sequence's outputs.
+        Column t*m + j of x is step t of sequence j, which has lengths[j] steps;
+        later columns are padding, which no cell reads. Outputs keep that layout
+        with 2*hidden rows, zero in padding: the forward state after t+1 steps
+        over the backward state after lengths[j]-t steps. The final states are
+        (hidden, m). Layer k reads layer k-1 outputs, both directions in one
+        ``Tape.lstm`` over the sequences longest first (a stable sort), so that
+        step t runs only those still live.
         """
-        m = len(lengths)
+        m, steps = len(lengths), max(lengths, default=0)
         if not m or min(lengths) < 1:
             raise ValueError("bilstm over an empty sequence")
-        steps = max(lengths)
         if x.value.shape[1] != steps * m:
             raise ShapeError(f"{self.name}: {x.value.shape[1]} input columns for lengths {list(lengths)}")
-        grid = np.arange(steps * m).reshape(steps, m)
-        reverse = grid.copy()  # its own inverse: it maps step t to step length-1-t
-        for j, n in enumerate(lengths):
-            reverse[:n, j] = grid[n - 1 :: -1, j]
-        reverse = reverse.ravel()
+        lengths = np.asarray(lengths)
+        order = np.argsort(-lengths, kind="stable")
+        t, k = np.nonzero(np.arange(steps)[:, None] < lengths[order])  # step t of the k-th longest, step by step
+        # the column of x each direction reads at each packed step, which is also where its state goes
+        cols = np.stack((t * m + order[k], (lengths[order[k]] - 1 - t) * m + order[k]))
         seq = x
         for fwd, bwd in zip(self.fwd, self.bwd):
-            h_fwd = _run_cell(tape, fwd, seq, m)
-            h_bwd = tape.columns(_run_cell(tape, bwd, tape.columns(seq, reverse), m), reverse)
-            seq = tape.concat(h_fwd, h_bwd)
-        last = grid[np.asarray(lengths) - 1, np.arange(m)]
+            # unpadded, the forward cells read seq itself: a gathered, column-major copy rounds W_x's gradient otherwise
+            z_f = fwd.project(tape, tape.columns(seq, cols[0]) if (lengths < steps).any() else seq)
+            zs = (z_f, bwd.project(tape, tape.columns(seq, cols[1])))
+            seq, _ = tape.lstm((fwd.stacked[1], bwd.stacked[1]), zs, np.bincount(t), cols, steps * m)
+        last, h = (lengths - 1) * m + np.arange(m), self.hidden_size
         # the backward state after a whole sequence is aligned with its first step
-        return seq, tape.columns(h_fwd, last), tape.columns(h_bwd, slice(0, m))
-
-
-def _run_cell(tape, cell: LstmCell, x: Tensor, m: int) -> Tensor:
-    """All states of m sequences through one cell, as (hidden, steps * m).
-
-    The inputs of every step go through one projection.
-    """
-    z = cell.project(tape, x)
-    state = None
-    hs = []
-    for t in range(0, z.value.shape[1], m):
-        state = cell.step(tape, tape.columns(z, slice(t, t + m)), state)
-        hs.append(state[0])
-    return tape.concat(*hs, axis=1)
+        return seq, tape.columns(seq, last, rows=slice(0, h)), tape.columns(seq, slice(0, m), rows=slice(h, 2 * h))
 
 
 class Mlp:

@@ -183,8 +183,8 @@ def char_compose(tape, model, forms) -> Tensor:
     """Compose one vector per word form with the char BiLSTM, as (2*char_hidden, m).
 
     Column j is concat(final forward state, final backward state) of form j.
-    All forms run side by side, padded to the longest; unseen characters fall
-    back to the unknown character embedding.
+    All forms run side by side, padded to the longest (no cell reads padding);
+    unseen characters fall back to the unknown character embedding.
     """
     ids = [model.vocab.char_ids(form) for form in forms]
     lengths = [len(row) for row in ids]

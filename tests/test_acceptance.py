@@ -10,6 +10,7 @@ import io
 import itertools
 import os
 import time
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -274,17 +275,21 @@ def test_untrained_parser_emits_wellformed_trees():
 # 8 ------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("use_char", [False, True], ids=["word+pos", "char"])
 @criterion("determinism", 120)
-def test_training_is_deterministic_and_serialization_exact(tmp_path):
+def test_training_is_deterministic_and_serialization_exact(tmp_path, use_char):
+    corpus = grammar_corpus(seed=4, count=10)
+    if use_char:  # words of 3, 6 and 9 letters: the char BiLSTM sorts unequal lengths with ties among them
+        corpus = [Sentence(tuple(replace(t, form=t.form * (1 + t.index % 3)) for t in s)) for s in corpus]
     corpus_path = tmp_path / "train.conll"
-    write_conll_file(str(corpus_path), grammar_corpus(seed=4, count=10))
+    write_conll_file(str(corpus_path), corpus)
     blobs = []
     for tag in ("one", "two"):
         cfg_path = tmp_path / f"{tag}.cfg"
         keys = "\n".join(f"{k} = {v}" for k, v in TINY.items())
         cfg_path.write_text(
             f"train = {corpus_path}\nmodel = {tmp_path / tag}.bin\n"
-            f"epochs = 2\nseed = 11\n{keys}\n",
+            f"epochs = 2\nseed = 11\nuse_char = {use_char}\n{keys}\n",
             encoding="utf-8",
         )
         assert cli.main(["train", "--config", str(cfg_path)]) == 0

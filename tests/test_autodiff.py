@@ -64,8 +64,15 @@ def test_shape_errors_name_the_op():
         t.concat(Tensor(np.ones((2, 2))), Tensor(np.ones((3, 2))), axis=1)
     with pytest.raises(ShapeError, match="concat"):
         t.concat(axis=1)
-    with pytest.raises(ShapeError, match="lstm_gates"):
-        t.lstm_gates(Tensor(np.ones((8, 3))), Tensor(np.ones((2, 2))))
+    w_h, z = (Tensor(np.ones((8, 2))),), (Tensor(np.ones((8, 3))),)
+    with pytest.raises(ShapeError, match="lstm"):  # a cell state for 2 of the 3 cells
+        t.lstm(w_h, z, [3], state=(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 2)))))
+    with pytest.raises(ShapeError, match="lstm"):  # a step with more cells than the one before
+        t.lstm(w_h, z, [1, 2])
+    with pytest.raises(ShapeError, match="lstm"):  # steps that take 2 of the 3 columns
+        t.lstm(w_h, z, [1, 1])
+    with pytest.raises(ShapeError, match="lstm"):  # an output column past the width
+        t.lstm(w_h, z, [3], [[0, 1, 3]], 3)
     with pytest.raises(ShapeError, match="window_sum"):
         t.window_sum([Tensor(np.ones((4, 2))), Tensor(np.ones((2, 2)))], 2)  # unequal rows
     with pytest.raises(ShapeError, match="window_sum"):
@@ -88,6 +95,11 @@ def test_non_finite_forward_is_an_error():
         store["cell/input/W_x"].value[:] = 1e308
         with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
             cell.project(Tape(record), Tensor(np.full((2, 1), 10.0)))
+        # so is one in a step's W_h h, which the step checks once for all its cells and directions
+        store["cell/forget/W_h"].value[:] = 1e308
+        state = (Tensor(np.full((6, 1), 10.0)), Tensor(np.zeros((6, 1))))  # both directions' (h, c)
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="lstm"):
+            Tape(record).lstm((cell.stacked[1], cell.stacked[1]), (Tensor(np.zeros((12, 1))),) * 2, [1], state=state)
         # window_sum checks nothing itself: a non-finite product raises at the bias add after it
         mlp = Mlp(store, "mlp", (4, 2, 1), np.random.default_rng(0), slots=2)
         t = Tape(record)
@@ -155,8 +167,8 @@ def test_per_op_gradients_match_finite_differences(op):
     check_gradients(build, store)
 
 
-@pytest.mark.parametrize("op", ["add", "concat", "pick_row", "columns", "concat_columns", "lstm_gates",
-                                "window_sum"])
+@pytest.mark.parametrize("op", ["add", "concat", "pick_row", "columns", "concat_columns", "lstm",
+                                "lstm_steps", "window_sum"])
 def test_column_batch_gradients_match_finite_differences(op):
     # every operand spans k = 3 columns, or is the one-column bias, row table or cell state fed to them
     rng = np.random.default_rng(sum(map(ord, op)))
@@ -180,9 +192,21 @@ def test_column_batch_gradients_match_finite_differences(op):
             out = t.concat(t.columns(ax, [2, 0, 2]), t.columns(ax, slice(1, 3)), axis=1)
         elif op == "concat_columns":
             out = t.concat(ax, c, ax, axis=1)  # ax listed twice sums the gradients of both blocks
-        elif op == "lstm_gates":
-            h, cell = t.lstm_gates(t.concat(ax, t.scale(ax, -0.7)), x)  # H = 2
+        elif op == "lstm":
+            # one step of 3 cells from the state (rows of y, x); H = 2, and W_h is itself an op's output
+            w_h = t.concat(a, t.scale(a, 0.5))
+            state = (t.columns(y, [0, 1, 2], rows=slice(0, 2)), x)
+            h, cell = t.lstm((w_h,), (t.concat(ax, t.scale(ax, -0.7)),), [3], state=state)
             out = t.concat(h, cell)
+        elif op == "lstm_steps":
+            # two directions over packed steps of 3, 2 and 1 cells, each direction's h scattered over
+            # 7 output columns, one of them never written; c stays in packed order
+            z = t.concat(ax, t.scale(ax, -0.7))
+            z = t.concat(z, t.columns(z, [2, 0, 1]), axis=1)
+            w_h = t.concat(a, t.scale(a, 0.5))
+            cols = [[0, 2, 4, 1, 3, 5], [5, 3, 1, 4, 2, 6]]
+            h, cell = t.lstm((w_h, t.scale(w_h, -1.3)), (z, t.scale(z, 0.6)), [3, 2, 1], cols, 7)
+            out = t.concat(h, t.columns(cell, [5, 0, 1, 2, 3, 4, 5]))
         elif op == "window_sum":
             # width 2 over [c, c, ax, c, c]: the repeated pad c sums the gradients of every slot it fills
             out = t.window_sum([c, c, ax, c, c], 2)
