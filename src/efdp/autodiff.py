@@ -284,7 +284,7 @@ class Tape:
 
         return self._push(out, backward)
 
-    def lstm(self, w_h, zs, sizes, cols=None, width=None, state=None):
+    def lstm(self, w_h, zs, sizes, cols=None, state=None):
         """(h, c) of an LSTM over packed steps in D = len(w_h) directions at once.
 
         Direction d has recurrent weights w_h[d] (4H, H) and inputs zs[d] = W_x x + b
@@ -293,19 +293,19 @@ class Tape:
         ``state`` (h, c), each (D*H, sizes[0]), None the zero state. A step runs
         c = f*c_prev + i*g, h = o*tanh(c) (logistic i, f, o; tanh g) on one buffer of
         the D products W_h h + z, checked once (finite, it gives |c| <= |c_prev| + 1,
-        |h| <= 1). c is (D*H, N), packed; h is (D*H, width), packed column p of
-        direction d at cols[d][p] (default p), else zero. One record runs backprop
-        through time when h has a gradient (a loss reaches c only through a later
-        step, which reads h too), each step's (dz, h_prev) to the weight terms.
+        |h| <= 1). c is (D*H, N), packed; so is h, or its column cols[d][p] holds packed
+        column p of direction d, each row of cols a permutation of range(N). One record
+        runs backprop through time when h has a gradient (a loss reaches c only through
+        a later step, which reads h too), each step's (dz, h_prev) to the weight terms.
         """
         d_n, hid, sizes = len(w_h), w_h[0].value.shape[1], list(sizes)
         n = sum(sizes)
-        width, cols = (n, None) if cols is None else (width, np.asarray(cols, dtype=np.intp))
+        cols = cols if cols is None else np.asarray(cols, dtype=np.intp)
         shapes = [t.value.shape for t in (*w_h, *zs, *(state or ()))]
         want = [(4 * hid, hid)] * d_n + [(4 * hid, n)] * len(zs)
         want += [(d_n * hid, sizes and sizes[0])] * len(state or ())
         if shapes != want or not sizes or sizes[-1] < 1 or sizes != sorted(sizes, reverse=True) or (
-                cols is not None and (cols.shape != (d_n, n) or not ((0 <= cols) & (cols < width)).all())):
+                cols is not None and (cols.shape != (d_n, n) or (np.sort(cols) != np.arange(n)).any())):
             raise ShapeError(f"lstm: weights, inputs and state of shapes {shapes} for steps {sizes}")
         z = np.concatenate([t.value for t in zs]).reshape(d_n, 4 * hid, n)
         h, c = (s.value.reshape(d_n, hid, -1) for s in state) if state else (None, np.zeros((d_n, hid, sizes[0])))
@@ -328,13 +328,13 @@ class Tape:
             steps.append((h_prev, c_prev, act, tanh_c, h, c))
         h_out, c_out = (np.concatenate([step[k] for step in steps], axis=2) for k in (4, 5))
         if cols is not None:
-            h_out, packed = np.zeros((d_n, hid, width)), h_out
+            h_out, packed = np.empty_like(h_out), h_out
             h_out[np.arange(d_n)[:, None], :, cols] = packed.transpose(0, 2, 1)
-        h_t, c_t = _result(h_out.reshape(d_n * hid, width)), _result(c_out.reshape(d_n * hid, n))
+        h_t, c_t = (_result(out.reshape(d_n * hid, n)) for out in (h_out, c_out))
         terms = self._weight_terms
 
         def backward(g_out):
-            g_out = g_out.reshape(d_n, hid, width)
+            g_out = g_out.reshape(d_n, hid, n)
             gh_all = g_out if cols is None else g_out[np.arange(d_n)[:, None], :, cols].transpose(0, 2, 1)
             gc_all = None if c_t.grad is None else c_t.grad.reshape(d_n, hid, n)
             c_t.grad = None  # passed on here, as the tape does for h

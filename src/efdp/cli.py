@@ -118,7 +118,10 @@ def cmd_train(cfg: Config) -> int:
         forms = {t.form for sentence in projective for t in sentence}
         log.info("pretrained vectors cover %.2f%% of %d training word forms",
                  100.0 * table.coverage(forms), len(forms))
-    model = ParserModel(cfg, vocab, pretrained=table)
+    try:
+        model = ParserModel(cfg, vocab, pretrained=table)
+    except (MemoryError, ValueError) as e:  # a dimension too large to allocate
+        raise ConfigError(f"cannot build the model: {e}") from None
     train(projective, model, cfg.epochs, dev=dev)
     model.save(model_path)
     log.info("model written to %s", model_path)

@@ -74,33 +74,34 @@ class BiLstm:
     def run(self, tape, x: Tensor, lengths):
         """Runs m sequences side by side; returns (outputs, final forward h, final backward h).
 
-        Column t*m + j of x is step t of sequence j, which has lengths[j] steps;
-        later columns are padding, which no cell reads. Outputs keep that layout
-        with 2*hidden rows, zero in padding: the forward state after t+1 steps
-        over the backward state after lengths[j]-t steps. The final states are
+        Sequence j is lengths[j] consecutive columns of x, after the sequences
+        before it. Outputs keep that layout with 2*hidden rows: step t of a
+        sequence stacks the forward state after its first t+1 steps over the
+        backward state from its last step back to step t. The final states are
         (hidden, m). Layer k reads layer k-1 outputs, both directions in one
         ``Tape.lstm`` over the sequences longest first (a stable sort), so that
         step t runs only those still live.
         """
-        m, steps = len(lengths), max(lengths, default=0)
-        if not m or min(lengths) < 1:
+        if not len(lengths) or min(lengths) < 1:
             raise ValueError("bilstm over an empty sequence")
-        if x.value.shape[1] != steps * m:
-            raise ShapeError(f"{self.name}: {x.value.shape[1]} input columns for lengths {list(lengths)}")
         lengths = np.asarray(lengths)
+        if x.value.shape[1] != lengths.sum():
+            raise ShapeError(f"{self.name}: {x.value.shape[1]} input columns for lengths {lengths.tolist()}")
+        first = np.cumsum(lengths) - lengths
         order = np.argsort(-lengths, kind="stable")
-        t, k = np.nonzero(np.arange(steps)[:, None] < lengths[order])  # step t of the k-th longest, step by step
+        t, k = np.nonzero(np.arange(lengths.max())[:, None] < lengths[order])  # step t of the k-th longest, step by step
+        j = order[k]
         # the column of x each direction reads at each packed step, which is also where its state goes
-        cols = np.stack((t * m + order[k], (lengths[order[k]] - 1 - t) * m + order[k]))
+        cols = np.stack((first[j] + t, first[j] + lengths[j] - 1 - t))
         seq = x
         for fwd, bwd in zip(self.fwd, self.bwd):
-            # unpadded, the forward cells read seq itself: a gathered, column-major copy rounds W_x's gradient otherwise
-            z_f = fwd.project(tape, tape.columns(seq, cols[0]) if (lengths < steps).any() else seq)
+            # one sequence: the forward cells read seq itself, as a gathered, column-major copy rounds W_x's gradient otherwise
+            z_f = fwd.project(tape, seq if len(lengths) == 1 else tape.columns(seq, cols[0]))
             zs = (z_f, bwd.project(tape, tape.columns(seq, cols[1])))
-            seq, _ = tape.lstm((fwd.stacked[1], bwd.stacked[1]), zs, np.bincount(t), cols, steps * m)
-        last, h = (lengths - 1) * m + np.arange(m), self.hidden_size
+            seq, _ = tape.lstm((fwd.stacked[1], bwd.stacked[1]), zs, np.bincount(t), cols)
+        last, h = first + lengths - 1, self.hidden_size
         # the backward state after a whole sequence is aligned with its first step
-        return seq, tape.columns(seq, last, rows=slice(0, h)), tape.columns(seq, slice(0, m), rows=slice(h, 2 * h))
+        return seq, tape.columns(seq, last, rows=slice(0, h)), tape.columns(seq, first, rows=slice(h, 2 * h))
 
 
 class Mlp:

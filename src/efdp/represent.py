@@ -183,16 +183,11 @@ def char_compose(tape, model, forms) -> Tensor:
     """Compose one vector per word form with the char BiLSTM, as (2*char_hidden, m).
 
     Column j is concat(final forward state, final backward state) of form j.
-    All forms run side by side, padded to the longest (no cell reads padding);
+    All forms run side by side, each as a run of consecutive character columns;
     unseen characters fall back to the unknown character embedding.
     """
-    ids = [model.vocab.char_ids(form) for form in forms]
-    lengths = [len(row) for row in ids]
-    grid = np.full((max(lengths, default=0), len(ids)), PAD_ID)  # (step, word)
-    for j, row in enumerate(ids):
-        grid[: len(row), j] = row
-    x = tape.pick_row(model.char_emb, grid.ravel())
-    _, f_final, b_final = model.char_net.run(tape, x, lengths)
+    x = tape.pick_row(model.char_emb, [cid for form in forms for cid in model.vocab.char_ids(form)])
+    _, f_final, b_final = model.char_net.run(tape, x, [len(form) for form in forms])
     return tape.concat(f_final, b_final)
 
 

@@ -71,8 +71,8 @@ def test_shape_errors_name_the_op():
         t.lstm(w_h, z, [1, 2])
     with pytest.raises(ShapeError, match="lstm"):  # steps that take 2 of the 3 columns
         t.lstm(w_h, z, [1, 1])
-    with pytest.raises(ShapeError, match="lstm"):  # an output column past the width
-        t.lstm(w_h, z, [3], [[0, 1, 3]], 3)
+    with pytest.raises(ShapeError, match="lstm"):  # cols that write one column twice
+        t.lstm(w_h, z, [3], [[0, 1, 1]])
     with pytest.raises(ShapeError, match="window_sum"):
         t.window_sum([Tensor(np.ones((4, 2))), Tensor(np.ones((2, 2)))], 2)  # unequal rows
     with pytest.raises(ShapeError, match="window_sum"):
@@ -200,13 +200,13 @@ def test_column_batch_gradients_match_finite_differences(op):
             out = t.concat(h, cell)
         elif op == "lstm_steps":
             # two directions over packed steps of 3, 2 and 1 cells, each direction's h scattered over
-            # 7 output columns, one of them never written; c stays in packed order
+            # its own permutation of the 6 output columns; c stays in packed order
             z = t.concat(ax, t.scale(ax, -0.7))
             z = t.concat(z, t.columns(z, [2, 0, 1]), axis=1)
             w_h = t.concat(a, t.scale(a, 0.5))
-            cols = [[0, 2, 4, 1, 3, 5], [5, 3, 1, 4, 2, 6]]
-            h, cell = t.lstm((w_h, t.scale(w_h, -1.3)), (z, t.scale(z, 0.6)), [3, 2, 1], cols, 7)
-            out = t.concat(h, t.columns(cell, [5, 0, 1, 2, 3, 4, 5]))
+            cols = [[0, 2, 4, 1, 3, 5], [5, 3, 1, 4, 2, 0]]
+            h, cell = t.lstm((w_h, t.scale(w_h, -1.3)), (z, t.scale(z, 0.6)), [3, 2, 1], cols)
+            out = t.concat(h, cell)
         elif op == "window_sum":
             # width 2 over [c, c, ax, c, c]: the repeated pad c sums the gradients of every slot it fills
             out = t.window_sum([c, c, ax, c, c], 2)

@@ -73,6 +73,19 @@ def test_out_of_range_test_size_is_a_config_error(workdir, capsys, size):
     assert not (workdir / "model.bin").exists()
 
 
+@pytest.mark.parametrize("word_dim", [100000000000000, 100000000000000000000])
+def test_a_model_too_large_to_allocate_is_a_config_error(workdir, capsys, word_dim):
+    # 12.8 PiB of word embeddings, then more columns than numpy allows in one dimension
+    cfg = workdir / "huge.cfg"
+    cfg.write_text((workdir / "efdp.cfg").read_text() + f"word_dim = {word_dim}\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run(["train", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error: ")] == err.splitlines()[-1:]
+    assert "Traceback" not in err
+    assert not (workdir / "model.bin").exists()
+
+
 def test_an_overflowing_forward_pass_is_one_error_line(workdir, capsys):
     cfg = workdir / "overflow.cfg"
     cfg.write_text((workdir / "efdp.cfg").read_text() + "lr = 1e200\n", encoding="utf-8")

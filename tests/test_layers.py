@@ -325,24 +325,22 @@ def test_batched_bilstm_matches_one_sequence_at_a_time(lengths, input_size, hidd
     rng = np.random.default_rng(seed)
     store = ParameterStore()
     net = BiLstm(store, "bi", input_size, hidden, layers, rng)
-    m, steps = len(lengths), max(lengths)
-    x = rng.uniform(-1, 1, (input_size, steps * m))  # padding columns hold values too
-    padding = np.ones(steps * m, dtype=bool)
-    padding[[t * m + j for j, n in enumerate(lengths) for t in range(n)]] = False
-    out_w = rng.uniform(-1, 1, (2 * hidden, steps * m))
-    out_w[:, padding] = 0.0  # a caller reads no padded output
-    fin_w = rng.uniform(-1, 1, (2 * hidden, m))
+    n_all = sum(lengths)
+    x = rng.uniform(-1, 1, (input_size, n_all))
+    out_w = rng.uniform(-1, 1, (2 * hidden, n_all))
+    fin_w = rng.uniform(-1, 1, (2 * hidden, len(lengths)))
     outputs, finals, x_grad, grads = run_bilstm_and_backprop(net, store, x, lengths, out_w, fin_w)
     grad_sum = [np.zeros_like(g) for g in grads]
+    start = 0
     for j, n in enumerate(lengths):
-        cols = np.arange(n) * m + j  # sequence j's own steps in the batch layout
+        cols = slice(start, start + n)  # sequence j's own steps: the n columns after the sequences before it
+        start += n
         o, f, xg, g = run_bilstm_and_backprop(net, store, x[:, cols], [n], out_w[:, cols], fin_w[:, j : j + 1])
         assert_close(outputs[:, cols], o)
         assert_close(finals[:, j : j + 1], f)
         assert_close(x_grad[:, cols], xg)
         for total, one in zip(grad_sum, g):
             total += one
-    assert not x_grad[:, padding].any()  # padding reaches no sequence's outputs
     for p, g, total in zip(store.trainable, grads, grad_sum):
         assert_close(g, total, err_msg=repr(p))
 
