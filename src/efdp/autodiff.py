@@ -4,10 +4,11 @@ The computation graph is dynamic: a fresh Tape is built per sentence (or per
 update window), ops on a recording tape append (output, backward-closure)
 records in execution order, and backward() replays them once in reverse. A
 Tape(record=False) runs the same ops and keeps nothing, for inference, where
-no gradient is taken. Everything is float64;
-vectors are column-shaped (n, 1), and a batch of k vectors is one (n, k)
-tensor. Tensors produced on an older tape may be consumed by a newer one,
-in which case they act as constants.
+no gradient is taken. Values are float64, or float32 in a model loaded to
+parse; an op's output has its inputs' dtype. Vectors are column-shaped
+(n, 1), and a batch of k vectors is one (n, k) tensor. Tensors produced on
+an older tape may be consumed by a newer one, in which case they act as
+constants.
 """
 
 import itertools
@@ -34,7 +35,8 @@ class Tensor:
     __slots__ = ("value", "grad")
 
     def __init__(self, value):
-        v = np.asarray(value, dtype=np.float64)
+        # float32 stays float32 (a model loaded to parse), anything else becomes float64
+        v = np.asarray(value, np.float32 if getattr(value, "dtype", None) == np.float32 else np.float64)
         if v.ndim == 1:
             v = v.reshape(-1, 1)
         if v.ndim != 2:
@@ -52,7 +54,7 @@ class Tensor:
 
 
 def _result(value: np.ndarray) -> Tensor:
-    """An op's output: ``value`` is already a 2-D float64 array, so Tensor()'s checks are skipped."""
+    """An op's output: ``value`` is already a 2-D array of its inputs' dtype, so Tensor()'s checks are skipped."""
     t = object.__new__(Tensor)
     t.value = value
     t.grad = None
@@ -298,25 +300,25 @@ class Tape:
         runs backprop through time when h has a gradient (a loss reaches c only through
         a later step, which reads h too), each step's (dz, h_prev) to the weight terms.
         """
-        d_n, hid, sizes = len(w_h), w_h[0].value.shape[1], list(sizes)
+        d_n, hid, sizes, state = len(w_h), w_h[0].value.shape[1], list(sizes), state or ()
         n = sum(sizes)
         cols = cols if cols is None else np.asarray(cols, dtype=np.intp)
-        shapes = [t.value.shape for t in (*w_h, *zs, *(state or ()))]
-        want = [(4 * hid, hid)] * d_n + [(4 * hid, n)] * len(zs)
-        want += [(d_n * hid, sizes and sizes[0])] * len(state or ())
+        shapes = [t.value.shape for t in (*w_h, *zs, *state)]
+        want = [(4 * hid, hid)] * d_n + [(4 * hid, n)] * len(zs) + [(d_n * hid, sizes and sizes[0])] * len(state)
         if shapes != want or not sizes or sizes[-1] < 1 or sizes != sorted(sizes, reverse=True) or (
                 cols is not None and (cols.shape != (d_n, n) or (np.sort(cols) != np.arange(n)).any())):
             raise ShapeError(f"lstm: weights, inputs and state of shapes {shapes} for steps {sizes}")
-        z = np.concatenate([t.value for t in zs]).reshape(d_n, 4 * hid, n)
-        h, c = (s.value.reshape(d_n, hid, -1) for s in state) if state else (None, np.zeros((d_n, hid, sizes[0])))
+        z = (zs[0].value if len(zs) == 1 else np.concatenate([t.value for t in zs])).reshape(d_n, 4 * hid, n)
+        h, c = ((s.value.reshape(d_n, hid, -1) for s in state) if state
+                else (None, np.zeros((d_n, hid, sizes[0]), z.dtype)))
         steps, bounds = [], [0, *itertools.accumulate(sizes)]  # steps: (h_prev, c_prev, act, tanh_c, h, c) each
         for m, start in zip(sizes, bounds):
             h_prev, c_prev, pre = h if h is None else h[:, :, :m], c[:, :, :m], z[:, :, start : start + m]
             if h_prev is not None:
-                pre = np.empty_like(pre)
+                pre, z_t = np.empty_like(pre), pre
                 for d, w in enumerate(w_h):
                     np.matmul(w.value, h_prev[d], out=pre[d])
-                pre += z[:, :, start : start + m]
+                pre += z_t
                 _check_finite("lstm", pre)
             act = np.empty_like(pre)
             _logistic(pre[:, : 3 * hid], out=act[:, : 3 * hid])
@@ -326,7 +328,7 @@ class Tape:
             tanh_c = np.tanh(c)
             h = o * tanh_c
             steps.append((h_prev, c_prev, act, tanh_c, h, c))
-        h_out, c_out = (np.concatenate([step[k] for step in steps], axis=2) for k in (4, 5))
+        h_out, c_out = steps[0][4:] if len(steps) == 1 else (np.concatenate([s[k] for s in steps], 2) for k in (4, 5))
         if cols is not None:
             h_out, packed = np.empty_like(h_out), h_out
             h_out[np.arange(d_n)[:, None], :, cols] = packed.transpose(0, 2, 1)
@@ -364,7 +366,7 @@ class Tape:
                         np.matmul(w.value.T, dz[d], out=dh[d])
             for z_d, dz_d in zip(zs, dz_all):
                 _accumulate(z_d, dz_d, fresh=True)
-            if state is not None:
+            if state:
                 _accumulate(state[0], dh.reshape(d_n * hid, -1), fresh=True)
                 _accumulate(state[1], dc.reshape(d_n * hid, -1), fresh=True)
 
@@ -463,7 +465,7 @@ class ParameterStore:
         return b"".join(chunks)
 
     def load_bytes(self, data: bytes) -> None:
-        """Load values into the existing parameters; the file must hold exactly these."""
+        """Load values into the existing parameters, in their dtype; the file must hold exactly these."""
         seen = set()
         for name, value in _decode_entries(data):
             p = self._params.get(name)
@@ -475,9 +477,10 @@ class ParameterStore:
                 raise SerializationError(
                     f"parameter {name!r}: file shape {value.shape} != expected {p.value.shape}"
                 )
-            if not np.isfinite(value).all():
-                raise SerializationError(f"parameter {name!r} holds non-finite values")
-            p.value[:] = value
+            with np.errstate(over="ignore"):  # beyond float32's range a value becomes inf, refused below
+                p.value[:] = value
+            if not np.isfinite(p.value).all():
+                raise SerializationError(f"parameter {name!r} holds values that are not finite as {p.value.dtype}")
             seen.add(name)
         missing = [n for n in self._params if n not in seen]
         if missing:

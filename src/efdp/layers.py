@@ -11,17 +11,20 @@ from .autodiff import ShapeError, Tensor
 GATES = ("input", "forget", "output", "cand")
 
 
-def glorot(rng, out: np.ndarray) -> np.ndarray:
-    """Fills the (rows, cols) array ``out`` from U(-b, b), b = sqrt(6 / (rows + cols))."""
-    bound = np.sqrt(6.0 / sum(out.shape))
-    rng.random(out=out)  # the same draws and rounding as rng.uniform(-bound, bound)
-    out *= 2.0 * bound
-    out -= bound
+def blank(rng, rows: int, cols: int) -> np.ndarray:
+    """A (rows, cols) parameter of zeros for ``uniform`` to draw into; without ``rng``
+    a float32 array left unfilled, for a model file's values."""
+    return np.empty((rows, cols), np.float32) if rng is None else np.zeros((rows, cols))
+
+
+def uniform(rng, out: np.ndarray, bound: float = None) -> np.ndarray:
+    """Fills ``out`` from U(-bound, bound), by default Glorot's bound sqrt(6 / (rows + cols)); no rng draws nothing."""
+    if rng is not None:
+        bound = np.sqrt(6.0 / sum(out.shape)) if bound is None else bound
+        rng.random(out=out)  # the same draws and rounding as rng.uniform(-bound, bound)
+        out *= 2.0 * bound
+        out -= bound
     return out
-
-
-def embedding_init(rng, rows: int, cols: int) -> np.ndarray:
-    return rng.uniform(-0.05, 0.05, size=(rows, cols))
 
 
 class LstmCell:
@@ -38,11 +41,11 @@ class LstmCell:
         self.name = name
         self.input_size = input_size
         self.hidden_size = hidden_size
-        self.stacked = tuple(Tensor(np.zeros((4 * hidden_size, n))) for n in (input_size, hidden_size, 1))
+        self.stacked = tuple(Tensor(blank(rng, 4 * hidden_size, n)) for n in (input_size, hidden_size, 1))
         for k, gate in enumerate(GATES):
             rows = slice(k * hidden_size, (k + 1) * hidden_size)
-            glorot(rng, self.stacked[0].value[rows])
-            glorot(rng, self.stacked[1].value[rows])
+            uniform(rng, self.stacked[0].value[rows])
+            uniform(rng, self.stacked[1].value[rows])
             for param, full in zip(("W_x", "W_h", "b"), self.stacked):
                 store.add(f"{name}/{gate}/{param}", full.value[rows], owner=full)
 
@@ -118,11 +121,11 @@ class Mlp:
             raise ValueError(f"an MLP needs sizes (input, hidden, output) and {slots} equal input blocks: {sizes}")
         self.name = name
         self.sizes = n_in, hidden, n_out = tuple(sizes)
-        self.w0 = Tensor(glorot(rng, np.empty((hidden, n_in))).reshape(slots * hidden, -1))
+        self.w0 = Tensor(uniform(rng, blank(rng, hidden, n_in)).reshape(slots * hidden, -1))
         store.add(f"{name}/layer0/W", self.w0.value.reshape(hidden, n_in), owner=self.w0)
-        self.b0 = store.add(f"{name}/layer0/b", np.zeros((hidden, 1)))
-        self.w1 = store.add(f"{name}/layer1/W", glorot(rng, np.empty((n_out, hidden))))
-        self.b1 = store.add(f"{name}/layer1/b", np.zeros((n_out, 1)))
+        self.b0 = store.add(f"{name}/layer0/b", blank(rng, hidden, 1))
+        self.w1 = store.add(f"{name}/layer1/W", uniform(rng, blank(rng, n_out, hidden)))
+        self.b1 = store.add(f"{name}/layer1/b", blank(rng, n_out, 1))
 
     def apply(self, tape, z: Tensor) -> Tensor:
         """The outputs of k inputs side by side from their first-layer products z = W0 x, (hidden, k)."""

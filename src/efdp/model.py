@@ -16,7 +16,7 @@ from .autodiff import ParameterStore
 from .config import DIMS, Config
 from .easyfirst import WINDOW_SLOTS
 from .errors import ConfigError, DataError
-from .layers import BiLstm, LstmCell, Mlp, embedding_init, glorot
+from .layers import BiLstm, LstmCell, Mlp, blank, uniform
 from .represent import PretrainedTable, Vocab, load_pretrained
 
 META_VERSION = 1
@@ -30,39 +30,42 @@ class ParserModel:
     """All trainable parameters plus hyperparameters and vocabularies."""
 
     def __init__(self, config: Config, vocab: Vocab, pretrained: PretrainedTable = None):
+        self._build(config, vocab, pretrained, np.random.default_rng(config.seed))
+
+    def _build(self, config, vocab, pretrained, rng) -> None:
+        """Registers the parameters, drawn from ``rng``, or without one float32 and unfilled for ``load``."""
         if config.use_pretrained and pretrained is None:
             raise ConfigError("use_pretrained is set but no pretrained table was given")
         self.config = config
         self.vocab = vocab
         self.pretrained = pretrained
         self.rel_names = vocab.rel_names
-        self.store = ParameterStore()
-        rng = np.random.default_rng(config.seed)
-        store = self.store
+        self.store = store = ParameterStore()
 
         self.v_dim = 2 * config.sent_hidden  # contextual vector size
         self.n_relations = vocab.n_relations
+        embedding = lambda rows, cols: uniform(rng, blank(rng, rows, cols), 0.05)
 
-        self.word_emb = store.add("word_emb", embedding_init(rng, len(vocab.words), config.word_dim))
-        self.pos_emb = store.add("pos_emb", embedding_init(rng, len(vocab.pos), config.pos_dim))
+        self.word_emb = store.add("word_emb", embedding(len(vocab.words), config.word_dim))
+        self.pos_emb = store.add("pos_emb", embedding(len(vocab.pos), config.pos_dim))
         if config.use_char:
-            self.char_emb = store.add("char_emb", embedding_init(rng, len(vocab.chars), config.char_dim))
+            self.char_emb = store.add("char_emb", embedding(len(vocab.chars), config.char_dim))
         else:
             self.char_emb = None
-        self.rel_emb = store.add("rel_emb", embedding_init(rng, self.n_relations, config.label_dim))
+        self.rel_emb = store.add("rel_emb", embedding(self.n_relations, config.label_dim))
         # label slot of the tree encoder before any child is attached
-        self.null_label = store.add("null_label", embedding_init(rng, config.label_dim, 1))
+        self.null_label = store.add("null_label", embedding(config.label_dim, 1))
         # window slots falling outside the pending list
-        self.pad_left = store.add("pad_left", embedding_init(rng, self.v_dim, 1))
-        self.pad_right = store.add("pad_right", embedding_init(rng, self.v_dim, 1))
+        self.pad_left = store.add("pad_left", embedding(self.v_dim, 1))
+        self.pad_right = store.add("pad_right", embedding(self.v_dim, 1))
 
         in_width = config.word_dim + config.pos_dim
         if config.use_char:
             in_width += 2 * config.char_hidden
         if config.use_pretrained:
             in_width += pretrained.dim
-        self.w_v = store.add("w_v", glorot(rng, np.empty((config.vprime_dim, in_width))))
-        self.b_v = store.add("b_v", np.zeros((config.vprime_dim, 1)))
+        self.w_v = store.add("w_v", uniform(rng, blank(rng, config.vprime_dim, in_width)))
+        self.b_v = store.add("b_v", blank(rng, config.vprime_dim, 1))
 
         if config.use_char:
             self.char_net = BiLstm(store, "char", config.char_dim, config.char_hidden, config.char_layers, rng)
@@ -75,8 +78,8 @@ class ParserModel:
         tree_in = self.v_dim + config.label_dim
         self.tree = tuple(LstmCell(store, name, tree_in, config.tree_hidden, rng)
                           for name in ("tree_left", "tree_right"))  # indexed by direction, LEFT then RIGHT
-        self.w_e = store.add("w_e", glorot(rng, np.empty((self.v_dim, 2 * config.tree_hidden + config.label_dim))))
-        self.b_e = store.add("b_e", np.zeros((self.v_dim, 1)))
+        self.w_e = store.add("w_e", uniform(rng, blank(rng, self.v_dim, 2 * config.tree_hidden + config.label_dim)))
+        self.b_e = store.add("b_e", blank(rng, self.v_dim, 1))
 
         window = WINDOW_SLOTS * self.v_dim
         self.mlp_u = Mlp(store, "mlp_u", (window, config.mlp_hidden, 2), rng, WINDOW_SLOTS)
@@ -114,7 +117,8 @@ class ParserModel:
 
     @classmethod
     def load(cls, path: str, pretrained: str = None) -> "ParserModel":
-        """The model at ``path``; ``pretrained`` is the embedding file's path, read only if the model needs it."""
+        """The model at ``path``, its values float32 for parsing; ``pretrained`` is the
+        embedding file's path, read only if the model needs it."""
         try:
             with open(meta_path(path), encoding="utf-8") as f:
                 meta = json.load(f)  # JSONDecodeError and UnicodeDecodeError are ValueErrors
@@ -140,7 +144,8 @@ class ParserModel:
             if dim != table.dim:
                 raise ConfigError(f"embedding file has dimension {table.dim}, the model expects {dim}")
         try:
-            model = cls(cfg, Vocab.from_meta(meta["vocab"]), pretrained=table)
+            model = cls.__new__(cls)  # no draws: the file fills every value (load_bytes refuses one it misses)
+            model._build(cfg, Vocab.from_meta(meta["vocab"]), table, None)
         except (KeyError, TypeError, ValueError, MemoryError) as e:  # dims come from the file
             raise DataError(f"malformed model metadata {meta_path(path)}: {e!r}") from None
         with open(path, "rb") as f:  # mmap refuses an empty file, which fails the header check as b""

@@ -214,7 +214,7 @@ def word_vector(tape, model, sentence, rng=None) -> Tensor:
     if cfg.use_char:
         parts.append(char_compose(tape, model, [t.form for t in sentence]))
     if cfg.use_pretrained:
-        parts.append(Tensor(np.column_stack([model.pretrained.lookup(t.form) for t in sentence])))
+        parts.append(Tensor(np.array([model.pretrained.lookup(t.form) for t in sentence], model.w_v.value.dtype).T))
     x = tape.concat(*parts)
     return tape.tanh(tape.add(tape.matmul(model.w_v, x), model.b_v))
 

@@ -31,6 +31,23 @@ def tiny_model(seed=0, corpus_seed=11, count=6, **overrides):
     return ParserModel(cfg, vocab), corpus
 
 
+def reloaded(model, path, pretrained=None):
+    """``model`` saved at ``path`` and loaded back as ``efdp parse`` loads it, with float32 values."""
+    model.save(str(path))
+    return ParserModel.load(str(path), pretrained)
+
+
+def assert_float32_of(loaded, model):
+    """Every entry of ``loaded`` is float32 and bitwise ``model``'s float64 value rounded to float32, and
+    each is a view of one of its trainable tensors, so that ``save`` writes what it parses with."""
+    assert [name for name, _ in loaded.store.items()] == [name for name, _ in model.store.items()]
+    for name, p in model.store.items():
+        got = loaded.store[name].value
+        assert got.dtype == np.float32 and got.tobytes() == p.value.astype(np.float32).tobytes(), name
+        assert any(np.shares_memory(got, t.value) for t in loaded.store.trainable), name
+    assert all(t.value.dtype == np.float32 for t in loaded.store.trainable)
+
+
 def action_index(position, direction, relation, n_relations):
     """Index k of an action in the score array, written out by arithmetic:
     position-major from 1, LEFT (0) before RIGHT (1), then relation."""

@@ -29,13 +29,13 @@ from efdp.easyfirst import (
     init_pending,
     parse,
 )
-from efdp.layers import BiLstm, LstmCell, Mlp, embedding_init, glorot
+from efdp.layers import BiLstm, LstmCell, Mlp, blank, uniform
 from efdp.model import ParserModel
 from efdp.oracle import hinge_loss, hinge_margin, train
 from efdp.represent import build_vocab, encode_sentence
 from efdp.synthetic import grammar_corpus, random_sentence
 from efdp.treebank import Sentence, Token, is_projective, validate_tree, write_conll_file
-from helpers import TINY, action_index, check_gradients, tiny_model
+from helpers import TINY, action_index, assert_float32_of, check_gradients, tiny_model
 from test_easyfirst import FIG_HEADS, ScriptedScorer, fig_model
 from test_oracle import gold_arcs, oracle_rollout
 
@@ -113,9 +113,9 @@ def test_gradient_integrity():
         tree = SimpleNamespace(
             tree=(LstmCell(store, "tl", v_dim + label_dim, tree_hidden, rng),
                   LstmCell(store, "tr", v_dim + label_dim, tree_hidden, rng)),
-            rel_emb=store.add("rel", embedding_init(rng, 3, label_dim)),
-            null_label=store.add("null", embedding_init(rng, label_dim, 1)),
-            w_e=store.add("we", glorot(rng, np.empty((v_dim, 2 * tree_hidden + label_dim)))),
+            rel_emb=store.add("rel", uniform(rng, blank(rng, 3, label_dim), 0.05)),
+            null_label=store.add("null", uniform(rng, blank(rng, label_dim, 1), 0.05)),
+            w_e=store.add("we", uniform(rng, blank(rng, v_dim, 2 * tree_hidden + label_dim))),
             b_e=store.add("be", np.zeros((v_dim, 1))),
             rel_names=["r0", "r1", "r2"],
             n_relations=3,
@@ -298,8 +298,13 @@ def test_training_is_deterministic_and_serialization_exact(tmp_path, use_char):
     assert blobs[0] == blobs[2], "model files differ between identical runs"
     assert blobs[1] == blobs[3], "metadata differs between identical runs"
 
-    reloaded = ParserModel.load(str(tmp_path / "one.bin"))
-    assert reloaded.store.to_bytes() == blobs[0]
+    # the file is exact: a float64 store reads it back to the same bytes
+    loaded = ParserModel.load(str(tmp_path / "one.bin"))
+    exact = ParserModel(loaded.config, loaded.vocab)
+    exact.store.load_bytes(blobs[0])
+    assert exact.store.to_bytes() == blobs[0]
+    # and ParserModel.load holds its values rounded to float32
+    assert_float32_of(loaded, exact)
 
 
 # optional full-corpus target ----------------------------------------

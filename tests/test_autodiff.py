@@ -40,6 +40,23 @@ def test_forward_values():
     assert summed.value.tolist() == [[6.0, 8.0, 9.0], [60.0, 80.0, 90.0]]
 
 
+def test_a_tensor_keeps_float32_and_makes_anything_else_float64():
+    assert Tensor(np.ones(2, np.float32)).value.dtype == np.float32
+    for value in ([1, 2], np.ones(2, np.float16), np.ones((2, 1), np.int64), np.ones((2, 1))):
+        assert Tensor(value).value.dtype == np.float64
+    view = np.ones((4, 2), np.float32)[1:3]
+    assert Tensor(view).value.base is view.base  # no copy, so a store entry stays a view
+    # the ops keep it: an LSTM from the zero state (one step and two) and its input projection
+    cell = LstmCell(ParameterStore(), "cell", 2, 3, None)
+    for w in cell.stacked:
+        w.value[:] = 0.25
+    t = Tape()
+    z = cell.project(t, Tensor(np.array([[0.5, 1.0, 2.0], [-0.5, 0.0, 1.0]], np.float32)))
+    for sizes in ([3], [2, 1]):
+        h, c = t.lstm((cell.stacked[1],), (z,), sizes)
+        assert h.value.dtype == c.value.dtype == np.float32
+
+
 def test_shape_errors_name_the_op():
     t = Tape()
     with pytest.raises(ShapeError, match="matmul"):

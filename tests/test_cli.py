@@ -6,6 +6,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,7 @@ from efdp.model import ParserModel, meta_path
 from efdp.represent import build_vocab, load_pretrained, parse_pretrained
 from efdp.synthetic import grammar_corpus, toy_corpus
 from efdp.treebank import Sentence, read_conll, write_conll, write_conll_file
-from helpers import TINY, tiny_model
+from helpers import TINY, assert_float32_of, reloaded, tiny_model
 
 TINY_KEYS = "\n".join(f"{k} = {v}" for k, v in TINY.items())
 
@@ -408,6 +409,14 @@ def _non_finite_value(path):
     path.write_bytes(bytes(blob))
 
 
+def _value_beyond_float32(path):
+    blob = bytearray(path.read_bytes())
+    # word_emb[0, 0], after the 12-byte header and the entry's name length, name, rank and two dims
+    assert blob[16:24] == b"word_emb"
+    blob[36:44] = struct.pack("<d", 1e39)  # finite as a float64, inf as a float32
+    path.write_bytes(bytes(blob))
+
+
 def _repeated_parameter(path):
     # the first parameter listed once more after the last, with another value
     blob = path.read_bytes()
@@ -479,8 +488,9 @@ def _root_label_not_a_string(path):
 @pytest.mark.parametrize(
     "damage",
     [_bad_meta_json, _meta_without_arch, _empty_bin, _non_utf8_parameter_name, _dims_overflowing_64_bits,
-     _zero_dim_beside_huge_dims, _non_finite_value, _repeated_parameter, _empty_relations, _duplicate_relations,
-     _relations_as_string, _root_label_not_a_string, _zero_tree_hidden, _zero_sent_hidden, _arch_as_string],
+     _zero_dim_beside_huge_dims, _non_finite_value, _value_beyond_float32, _repeated_parameter, _empty_relations,
+     _duplicate_relations, _relations_as_string, _root_label_not_a_string, _zero_tree_hidden, _zero_sent_hidden,
+     _arch_as_string],
 )
 def test_malformed_model_files_are_data_errors(tmp_path, capsys, damage):
     model, corpus = tiny_model(seed=4)
@@ -580,7 +590,23 @@ def test_a_word_pos_model_loads_beside_a_missing_embedding_file(tmp_path):
     path = str(tmp_path / "model.bin")
     model.save(path)
     loaded = ParserModel.load(path, pretrained=str(tmp_path / "missing.vec"))
-    assert loaded.pretrained is None and loaded.store.to_bytes() == model.store.to_bytes()
+    assert loaded.pretrained is None
+    assert_float32_of(loaded, model)
+
+
+def test_a_loaded_model_holds_its_file_values_rounded_to_float32(tmp_path):
+    model, _ = tiny_model(seed=4, use_char=True)
+    once = reloaded(model, tmp_path / "once.bin")
+    assert_float32_of(once, model)
+    twice = reloaded(once, tmp_path / "twice.bin")  # saved as float64, the float32 values load back as they are
+    assert twice.store.to_bytes() == once.store.to_bytes()
+    assert_float32_of(twice, model)
+    beyond = bytearray(model.store.to_bytes())
+    beyond[36:44] = struct.pack("<d", 1e39)  # word_emb[0, 0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warning would print beside the error line
+        with pytest.raises(DataError, match="'word_emb' holds values that are not finite as float32"):
+            once.store.load_bytes(bytes(beyond))
 
 
 @pytest.mark.parametrize("line", ["exclude_punct = true", "punct_tags = CH", "pretrained_dim = 3", "beta1 = 0.9",

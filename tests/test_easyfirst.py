@@ -17,12 +17,13 @@ from efdp.easyfirst import (
     init_pending,
     parse,
 )
-from efdp.represent import build_vocab, encode_sentence
+from efdp.represent import build_vocab, encode_sentence, load_pretrained
 from efdp.config import Config
 from efdp.model import ParserModel
-from efdp.synthetic import random_sentence, toy_corpus
+from efdp.oracle import Trainer
+from efdp.synthetic import grammar_corpus, random_sentence, toy_corpus
 from efdp.treebank import Sentence, Token, is_projective, validate_tree
-from helpers import TINY, action_index, tiny_model
+from helpers import TINY, action_index, reloaded, tiny_model
 
 FIG_FORMS = ["Tôi", "có", "một", "con", "mèo"]
 FIG_POS = ["P", "V", "M", "Nc", "N"]
@@ -236,7 +237,7 @@ def test_replaying_a_parse_is_bit_identical():
 
 
 def recorded_parse(sentence, model):
-    """parse's loop on a recording tape: the arcs and each step's scores."""
+    """parse's loop on a recording tape: the arcs, each step's scores and the tape."""
     tape = Tape()
     pending = init_pending(tape, model, encode_sentence(tape, model, sentence), sentence)
     scorer = ActionScorer(tape, model)
@@ -245,34 +246,64 @@ def recorded_parse(sentence, model):
         steps.append(scorer.scores(pending))
         apply_action(tape, model, pending, int(np.argmax(steps[-1])), arcs)
     assert len(tape) > 0
-    return arcs, steps
+    return arcs, steps, tape
 
 
 @pytest.mark.parametrize("use_char", [False, True])
-def test_parse_records_nothing_and_scores_as_a_recording_tape_does(monkeypatch, use_char):
-    model, corpus = tiny_model(seed=6, use_char=use_char)
-    scores, tapes = [], set()
+def test_parse_records_nothing_and_scores_as_a_recording_tape_does(monkeypatch, tmp_path, use_char):
+    built, corpus = tiny_model(seed=6, use_char=use_char)
     original = ActionScorer.scores
+    # a loaded model too: both sides read the same float32 values
+    for model in (built, reloaded(built, tmp_path / "model.bin")):
+        scores, tapes = [], set()
 
-    def noted(self, pending):
-        tapes.add(self.tape)
-        scores.append(original(self, pending))
-        return scores[-1]
+        def noted(self, pending):
+            tapes.add(self.tape)
+            scores.append(original(self, pending))
+            return scores[-1]
 
+        for sentence in corpus:
+            arcs, steps, _ = recorded_parse(sentence, model)
+            monkeypatch.setattr(ActionScorer, "scores", noted)
+            assert parse(sentence, model)[:-1] == arcs
+            monkeypatch.undo()
+            assert len(scores) == len(steps)
+            for got, want in zip(scores, steps):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            scores.clear()
+        assert len(tapes) == len(corpus)
+        for tape in tapes:
+            assert len(tape) == 0
+            with pytest.raises(RuntimeError, match="does not record"):
+                tape.backward(Tensor([[0.0]]))
+
+
+@pytest.mark.parametrize("inputs", ["word+pos", "char", "pretrained"])
+def test_a_loaded_model_parses_in_float32_alone(tmp_path, inputs):
+    corpus = toy_corpus(seed=11, count=6, n_min=3, n_max=6)
+    vectors = tmp_path / "vec.txt"  # forms of the other sentences get the mean vector
+    vectors.write_text("".join(f"{t.form} 0.3 -0.7\n" for t in corpus[0]), encoding="utf-8")
+    cfg = Config(seed=3, use_char=inputs == "char", use_pretrained=inputs == "pretrained", **TINY)
+    table = load_pretrained(str(vectors)) if cfg.use_pretrained else None
+    model = reloaded(ParserModel(cfg, build_vocab(corpus), table), tmp_path / "model.bin", str(vectors))
     for sentence in corpus:
-        arcs, steps = recorded_parse(sentence, model)
-        monkeypatch.setattr(ActionScorer, "scores", noted)
-        assert parse(sentence, model)[:-1] == arcs
-        monkeypatch.undo()
-        assert len(scores) == len(steps)
-        for got, want in zip(scores, steps):
-            assert got.tobytes() == want.tobytes()
-        scores.clear()
-    assert len(tapes) == len(corpus)
-    for tape in tapes:
-        assert len(tape) == 0
-        with pytest.raises(RuntimeError, match="does not record"):
-            tape.backward(Tensor([[0.0]]))
+        _, steps, tape = recorded_parse(sentence, model)
+        assert {scores.dtype for scores in steps} == {np.dtype(np.float32)}
+        assert {out.value.dtype for out, _ in tape._records} == {np.dtype(np.float32)}
+
+
+def test_a_loaded_model_parses_as_its_float64_parent(tmp_path):
+    grammar = grammar_corpus(seed=3, count=60)
+    trained = ParserModel(Config(seed=3, **TINY), build_vocab(grammar[:50]))
+    trainer = Trainer(trained, error_batch=10)
+    for sentence in grammar[:50]:
+        trainer.train_sentence(sentence)
+    trainer.flush()
+    long = toy_corpus(seed=5, count=3, n_min=20, n_max=30)
+    default = ParserModel(Config(seed=1), build_vocab(long))  # default dims, untrained
+    for k, (model, sentences) in enumerate([(trained, grammar[50:]), (default, long)]):
+        loaded = reloaded(model, tmp_path / f"{k}.bin")
+        assert [parse(s, loaded) for s in sentences] == [parse(s, model) for s in sentences]
 
 
 def test_constant_shift_of_direction_scores_keeps_argmax():
