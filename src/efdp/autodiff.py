@@ -4,8 +4,10 @@ The computation graph is dynamic: a fresh Tape is built per sentence (or per
 update window), ops on a recording tape append (output, backward-closure)
 records in execution order, and backward() replays them once in reverse. A
 Tape(record=False) runs the same ops and keeps nothing, for inference, where
-no gradient is taken. Values are float64, or float32 in a model loaded to
-parse; an op's output has its inputs' dtype. Vectors are column-shaped
+no gradient is taken. Values are float32 in a model being trained, as
+copies of float64 master values that Adam steps, and in a model loaded to
+parse; they are float64 in a model as built, which the gradient checks use.
+An op's output has its inputs' dtype. Vectors are column-shaped
 (n, 1), and a batch of k vectors is one (n, k) tensor. Tensors produced on
 an older tape may be consumed by a newer one, in which case they act as
 constants.
@@ -21,6 +23,7 @@ from .errors import DataError
 
 MAGIC = b"EFDP"
 FORMAT_VERSION = 1
+ADAM_CHUNK = 1 << 14  # entries per chunk of adam_step, which bounds its two scratch buffers
 
 
 class ShapeError(ValueError):
@@ -35,7 +38,7 @@ class Tensor:
     __slots__ = ("value", "grad")
 
     def __init__(self, value):
-        # float32 stays float32 (a model loaded to parse), anything else becomes float64
+        # float32 stays float32 (a model loaded to parse or being trained), anything else becomes float64
         v = np.asarray(value, np.float32 if getattr(value, "dtype", None) == np.float32 else np.float64)
         if v.ndim == 1:
             v = v.reshape(-1, 1)
@@ -73,7 +76,10 @@ def _logistic(v: np.ndarray, out=None) -> np.ndarray:
     e = np.abs(v)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    return np.divide(np.where(v >= 0, 1.0, e), 1.0 + e, out=out)
+    top = (v >= 0).astype(e.dtype)  # 1 or 0, then e where v < 0: max(0, e) is e, max(1, e) is 1 as e <= 1
+    np.maximum(top, e, out=top)
+    e += 1.0
+    return np.divide(top, e, out=out)
 
 
 def _check_finite(op: str, value: np.ndarray) -> None:
@@ -259,7 +265,7 @@ class Tape:
             out += joined[:, s, s : s + n]
 
         def backward(g):
-            grad = np.zeros((rows // width, width, bounds[-1]))
+            grad = np.zeros((rows // width, width, bounds[-1]), g.dtype)
             for s in range(width):
                 grad[:, s, s : s + n] = g
             grad = grad.reshape(rows, -1)
@@ -340,7 +346,7 @@ class Tape:
             gh_all = g_out if cols is None else g_out[np.arange(d_n)[:, None], :, cols].transpose(0, 2, 1)
             gc_all = None if c_t.grad is None else c_t.grad.reshape(d_n, hid, n)
             c_t.grad = None  # passed on here, as the tape does for h
-            dz_all = np.empty((d_n, 4 * hid, n))
+            dz_all = np.empty((d_n, 4 * hid, n), z.dtype)
             dh = dc = np.zeros((d_n, hid, 0))  # what step t+1 sends to step t's h and c
             for (h_prev, c_prev, act, tanh_c, _, _), start, end in zip(reversed(steps), bounds[-2::-1], bounds[:0:-1]):
                 gh = gh_all[:, :, start:end]
@@ -358,7 +364,7 @@ class Tape:
                 dz_all[:, :, start:end] = dz
                 dc = gc * f
                 if h_prev is not None:
-                    dh = np.empty(h_prev.shape)
+                    dh = np.empty(h_prev.shape, h_prev.dtype)
                     for d, w in enumerate(w_h):
                         _, gs, xs = terms.setdefault(id(w), (w, [], []))
                         gs.append(dz[d])
@@ -384,7 +390,7 @@ class Tape:
         if loss.value.shape != (1, 1):
             raise ShapeError(f"loss must be scalar-shaped (1, 1), got {loss.value.shape}")
         self._spent = True
-        loss.grad = np.ones((1, 1))
+        loss.grad = np.ones((1, 1), loss.value.dtype)
         terms = self._weight_terms
         for out, backward in reversed(self._records):
             if id(out) in terms:  # every use of out is behind us: its gradient is complete
@@ -404,12 +410,18 @@ def _add_weight_terms(a: Tensor, gs, xs) -> None:
 
 class ParameterStore:
     """The trainable tensors, with Adam moments made by the first adam_step, and the named
-    entries of a model file, each a trainable tensor or a view of one's value."""
+    entries of a model file, each a trainable tensor or a view of one's value.
+
+    After ``train_in_float32`` each trainable tensor holds a float32 copy of its
+    float64 master, which Adam steps and the entries view.
+    """
 
     def __init__(self):
         self.trainable = []
         self._params = {}  # name -> entry
+        self._masters = []  # the float64 value each trainable tensor copies, once train_in_float32 ran
         self._moments = []  # (m, v) of each trainable tensor
+        self._scratch = ()  # adam_step's two float64 buffers
         self.step_count = 0
 
     def add(self, name: str, value, owner: Tensor = None) -> Tensor:
@@ -431,21 +443,63 @@ class ParameterStore:
         for t in self.trainable:
             t.grad = None
 
+    def train_in_float32(self) -> None:
+        """Keeps each trainable tensor's value, float64 in a model as built, as its master
+        and gives the tensor a float32 copy.
+
+        The entries keep viewing the masters, so a saved file holds them. A second
+        call changes nothing.
+        """
+        if self._masters:
+            return
+        own = {id(p) for p in self.trainable}
+        for name, entry in self._params.items():
+            if id(entry) in own:  # the entry is the tensor itself: a new one holds the master
+                self._params[name] = _result(entry.value)
+        self._masters = [p.value for p in self.trainable]
+        for p in self.trainable:
+            p.value = p.value.astype(np.float32)
+
     def adam_step(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
-        """Standard Adam update with bias correction, a missing gradient read as zero; grads are dropped after."""
+        """Standard Adam update with bias correction, a missing gradient read as zero; grads are dropped after.
+
+        Steps the masters (the values themselves before ``train_in_float32``) and the
+        moments in float64, ADAM_CHUNK entries at a time through two scratch buffers,
+        and writes each chunk's float32 copy in the same pass.
+        """
+        masters = self._masters or [p.value for p in self.trainable]
         if not self._moments:  # moments start at zero: a model that never trains holds none
-            self._moments = [(np.zeros_like(p.value), np.zeros_like(p.value)) for p in self.trainable]
+            self._moments = [(np.zeros_like(w), np.zeros_like(w)) for w in masters]
+            self._scratch = tuple(np.empty(max([ADAM_CHUNK, *(w.shape[1] for w in masters)])) for _ in range(2))
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - beta1**t
         bc2 = 1.0 - beta2**t
-        for p, (m, v) in zip(self.trainable, self._moments):
-            m *= beta1
-            v *= beta2
-            if p.grad is not None:  # adding a zero gradient's terms would leave m and v as they are
-                m += (1.0 - beta1) * p.grad
-                v += (1.0 - beta2) * (p.grad * p.grad)
-            p.value -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        for p, w, (m, v) in zip(self.trainable, masters, self._moments):
+            step = ADAM_CHUNK // max(1, w.shape[1]) or 1  # rows per chunk
+            for lo in range(0, w.shape[0], step):
+                rows = slice(lo, lo + step)
+                w_c, m_c, v_c = w[rows], m[rows], v[rows]
+                a, b = (s[: w_c.size].reshape(w_c.shape) for s in self._scratch)
+                m_c *= beta1
+                v_c *= beta2
+                if p.grad is not None:  # adding a zero gradient's terms would leave m and v as they are
+                    np.copyto(a, p.grad[rows])
+                    np.multiply(a, a, out=b)
+                    b *= 1.0 - beta2
+                    v_c += b
+                    a *= 1.0 - beta1
+                    m_c += a
+                # w -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+                np.divide(m_c, bc1, out=a)
+                a *= lr
+                np.divide(v_c, bc2, out=b)
+                np.sqrt(b, out=b)
+                b += eps
+                a /= b
+                w_c -= a
+                if p.value is not w:
+                    p.value[rows] = w_c
         self.zero_grads()
 
     # ---- serialization ----
@@ -485,6 +539,8 @@ class ParameterStore:
         missing = [n for n in self._params if n not in seen]
         if missing:
             raise SerializationError(f"model file is missing parameters: {missing[:5]}")
+        for p, w in zip(self.trainable, self._masters):
+            p.value[...] = w
 
 
 def _decode_entries(data: bytes):

@@ -98,8 +98,8 @@ def hinge_loss(tape, margin, score_tensor):
     best_valid, best_invalid, loss = margin
     if best_invalid is None or loss <= 0.0:
         return None
-    one = Tensor([[1.0]])
-    return tape.add(tape.sub(one, score_tensor(best_valid)), score_tensor(best_invalid))
+    valid = score_tensor(best_valid)
+    return tape.add(tape.sub(Tensor(np.ones((1, 1), valid.value.dtype)), valid), score_tensor(best_invalid))
 
 
 class Trainer:
@@ -110,10 +110,14 @@ class Trainer:
     after which the sentence continues on a fresh tape: already-built
     encodings stay as constants, while new scores are recomputed so their
     loss terms carry gradients.
+
+    Making one switches the model to train in float32 from float64 masters
+    (``ParameterStore.train_in_float32``).
     """
 
     def __init__(self, model, error_batch=None, scorer_factory=None):
         cfg = model.config
+        model.store.train_in_float32()
         self.model = model
         self.error_batch = cfg.error_batch if error_batch is None else error_batch
         self.explore = cfg.explore

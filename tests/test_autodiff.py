@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from efdp import autodiff
 from efdp.autodiff import (
     ParameterStore,
     SerializationError,
@@ -149,6 +150,18 @@ def test_logistic_is_stable_for_large_inputs():
     out = t.logistic(Tensor([[800.0], [-800.0]]))
     assert out.value[0, 0] == pytest.approx(1.0)
     assert out.value[1, 0] == pytest.approx(0.0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_logistic_keeps_the_bits_of_the_branching_formula(dtype):
+    v = np.array([0.0, -0.0, 200.0, -200.0, 1e-8, -1e-8, 0.5, -0.5, 3.0, -3.0, 20.0, -20.0, 88.0, -104.0, 800.0,
+                  -800.0, np.nan], dtype)
+    v = np.concatenate([v, np.random.default_rng(5).standard_normal(500).astype(dtype) * 10.0])
+    with np.errstate(under="ignore"):
+        e = np.exp(-np.abs(v))
+        expected = np.divide(np.where(v >= 0, 1.0, e), 1.0 + e)
+        got = autodiff._logistic(v)
+    assert got.dtype == dtype and got.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("op", ["matmul", "add", "sub", "pointwise_mul", "tanh", "logistic", "concat", "pick_row", "scale"])
@@ -479,6 +492,54 @@ def test_entries_tile_the_trainable_tensors():
         assert all((p.value == 1.0).all() for p in store.trainable)  # each number is in one entry
 
 
+def test_entries_tile_the_masters_after_a_trainer_is_made():
+    for model in tiny_models_of_every_kind():
+        store = model.store
+        values = [p.value for p in store.trainable]
+        saved = store.to_bytes()
+        Trainer(model)
+        Trainer(model)  # a second trainer finds the model switched already
+        assert store.to_bytes() == saved  # a v1 float64 file of the same values
+        assert all(w is value for w, value in zip(store._masters, values))
+        assert all(p.value.dtype == np.float32 and p.value.tobytes() == w.astype(np.float32).tobytes()
+                   for p, w in zip(store.trainable, store._masters))
+        entries = [entry for _, entry in store.items()]
+        owners = [[w for w in store._masters if np.shares_memory(entry.value, w)] for entry in entries]
+        assert all(len(found) == 1 for found in owners)
+        assert {id(found[0]) for found in owners} == {id(w) for w in store._masters}
+        assert sum(e.value.size for e in entries) == sum(w.size for w in store._masters)
+        for w in store._masters:
+            w[...] = 0.0
+        for entry in entries:
+            entry.value += 1.0
+        assert all((w == 1.0).all() for w in store._masters)  # each number is in one entry
+        assert not any(np.shares_memory(p.value, w) for p in store.trainable for w in store._masters)
+
+
+def test_a_trainers_tape_and_gradients_stay_float32():
+    corpus = tiny_model(seed=4)[1]  # the sentences of the models' vocabulary
+    for model in tiny_models_of_every_kind():
+        trainer = Trainer(model, error_batch=10**6)  # no update: the tape keeps every record
+        for sentence in corpus:
+            trainer.train_sentence(sentence)
+        tape = trainer.tape
+        loss = tape.sum_all(tape.concat(*trainer.losses, axis=1))
+        # encoding, leaves, scorer, hinge terms, attachments and the loss sum
+        assert len(trainer.losses) >= 10 and all(out.value.dtype == np.float32 for out, _ in tape._records)
+        seen = []
+
+        def checked(backward):
+            def run(g):
+                seen.append(g.dtype)
+                backward(g)
+            return run
+
+        tape._records = [(out, checked(backward)) for out, backward in tape._records]
+        tape.backward(loss)
+        assert len(seen) > 100 and set(seen) == {np.dtype(np.float32)}
+        assert all(p.grad is not None and p.grad.dtype == np.float32 for p in model.store.trainable)
+
+
 def test_built_and_loaded_models_hold_no_adam_moments(tmp_path):
     model, corpus = tiny_model(seed=2)
     model.save(str(tmp_path / "model.bin"))
@@ -490,6 +551,44 @@ def test_built_and_loaded_models_hold_no_adam_moments(tmp_path):
     trainer.flush()
     assert trainer.updates and len(model.store._moments) == len(model.store.trainable)
     assert all(p.grad is None for p in model.store.trainable)  # an update drops every gradient
+
+
+def test_adam_steps_float64_masters_from_float32_gradients_as_an_eager_reference():
+    rng = np.random.default_rng(9)
+    store = ParameterStore()
+    # one tensor of several row chunks, one row wider than a chunk, one small
+    shapes = [(3 * autodiff.ADAM_CHUNK // 100 + 7, 100), (1, autodiff.ADAM_CHUNK + 3), (3, 2)]
+    tensors = [store.add(f"p{k}", rng.standard_normal(shape)) for k, shape in enumerate(shapes)]
+    store.train_in_float32()
+    eager = [(store[f"p{k}"].value.copy(), np.zeros(shape), np.zeros(shape)) for k, shape in enumerate(shapes)]
+    for step in range(1, 4):
+        for k, (t, (x, m, v)) in enumerate(zip(tensors, eager)):
+            g = np.zeros(t.value.shape)
+            if (step, k) != (2, 0):  # a missing gradient reads as a zero one
+                t.grad = rng.standard_normal(t.value.shape).astype(np.float32)
+                g = t.grad.astype(np.float64)
+            m *= 0.9
+            v *= 0.999
+            m += (1.0 - 0.9) * g
+            v += (1.0 - 0.999) * (g * g)
+            x -= 0.01 * (m / (1.0 - 0.9**step)) / (np.sqrt(v / (1.0 - 0.999**step)) + 1e-8)
+        store.adam_step(lr=0.01)
+        for k, (t, (x, m, v)) in enumerate(zip(tensors, eager)):
+            assert store[f"p{k}"].value.tobytes() == x.tobytes()
+            assert t.value.dtype == np.float32 and t.value.tobytes() == x.astype(np.float32).tobytes()
+            assert t.grad is None
+    assert [(m.tobytes(), v.tobytes()) for m, v in store._moments] == [(m.tobytes(), v.tobytes()) for _, m, v in eager]
+
+
+def test_load_bytes_refreshes_the_float32_copies():
+    rng = np.random.default_rng(10)
+    store, donor = ParameterStore(), ParameterStore()
+    w = store.add("w", rng.standard_normal((3, 4)))
+    donor.add("w", rng.standard_normal((3, 4)))
+    store.train_in_float32()
+    store.load_bytes(donor.to_bytes())
+    assert store.to_bytes() == donor.to_bytes()
+    assert w.value.dtype == np.float32 and w.value.tobytes() == donor["w"].value.astype(np.float32).tobytes()
 
 
 def test_adam_minimizes_a_quadratic():

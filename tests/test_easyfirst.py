@@ -302,8 +302,11 @@ def test_a_loaded_model_parses_as_its_float64_parent(tmp_path):
     long = toy_corpus(seed=5, count=3, n_min=20, n_max=30)
     default = ParserModel(Config(seed=1), build_vocab(long))  # default dims, untrained
     for k, (model, sentences) in enumerate([(trained, grammar[50:]), (default, long)]):
+        parent = ParserModel(model.config, model.vocab)  # float64, where a trainer's model parses in float32
+        parent.store.load_bytes(model.store.to_bytes())
+        assert {p.value.dtype for p in parent.store.trainable} == {np.dtype(np.float64)}
         loaded = reloaded(model, tmp_path / f"{k}.bin")
-        assert [parse(s, loaded) for s in sentences] == [parse(s, model) for s in sentences]
+        assert [parse(s, loaded) for s in sentences] == [parse(s, parent) for s in sentences]
 
 
 def test_constant_shift_of_direction_scores_keeps_argmax():

@@ -494,6 +494,40 @@ def test_train_records_metrics_and_stays_finite():
         assert "dev_uas" in record and "dev_las" in record
 
 
+def test_train_with_dev_keeps_the_best_epoch_in_the_masters_and_the_float32_copies(tmp_path, monkeypatch):
+    corpus = grammar_corpus(seed=1, count=16)
+    sentences, dev = corpus[:12], corpus[12:]
+    model = ParserModel(Config(seed=1, **TINY), build_vocab(corpus))
+    kept = []  # the parameters of each epoch that was best so far
+    to_bytes = model.store.to_bytes
+    monkeypatch.setattr(model.store, "to_bytes", lambda: kept.append(to_bytes()) or kept[-1])
+    metrics = train(sentences, model, 3, dev=dev)
+    monkeypatch.undo()
+    uas = [record["dev_uas"] for record in metrics]
+    assert uas.index(max(uas)) < len(uas) - 1  # the last epoch is not the one kept
+    assert model.store.to_bytes() == kept[-1]
+    path = str(tmp_path / "model.bin")
+    model.save(path)
+    loaded = ParserModel.load(path)
+
+    class RecordingScorer(ActionScorer):
+        def scores(self, pending):
+            got = super().scores(pending)
+            self.seen.append(got.tobytes())
+            return got
+
+    def scores_of(m):
+        seen = []
+        for sentence in dev:
+            scorer = RecordingScorer(Tape(record=False), m)
+            scorer.seen = seen
+            parse(sentence, m, scorer=scorer)
+        return seen
+
+    in_memory = scores_of(model)
+    assert len(in_memory) == sum(len(s) - 1 for s in dev) and in_memory == scores_of(loaded)
+
+
 def test_train_logs_seconds_and_speed_in_each_epoch_line(caplog):
     corpus = grammar_corpus(seed=2, count=6)
     model = ParserModel(Config(seed=5, **TINY), build_vocab(corpus))
